@@ -1,15 +1,15 @@
 """Bayes factors for the normal point null with known unit variance.
 
-Closed form for zero-centred normal priors, adaptive quadrature for
-Cauchy priors, the prior-scale flip point at which the direction of
-evidence reverses, and reversal-pair construction showing that one
-dataset can support both hypotheses depending only on the prior scale.
+Closed form for zero-centred normal priors, the closed-form Voigt
+(Faddeeva) marginal for Cauchy priors, the prior-scale flip point at
+which the direction of evidence reverses, and reversal-pair construction
+showing that one dataset can support both hypotheses depending only on
+the prior scale.
 
-The hot numerical kernels run on a compiled extension when built and on
-a pure-Python twin otherwise; see ``bayesflip.KERNEL_BACKEND``.
+The numerical kernels are pure Python; ``bayesflip.KERNEL_BACKEND`` is
+always ``"pure"``.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .bayes_factor import (
     BayesFactorResult,
     Direction,
@@ -56,6 +56,7 @@ from .numerics import (
     std_normal_pdf,
 )
 
+KERNEL_BACKEND = "pure"
 __version__ = "0.1.0"
 
 __all__ = [

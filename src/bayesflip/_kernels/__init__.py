@@ -1,37 +1,4 @@
-"""Kernel backend selection.
+"""Hot numerical kernels, in pure Python (``pure``).
 
-The hot numerical kernels (Lambert W and the marginal-likelihood
-quadrature) exist twice: a compiled Cython extension (``_core``) and a
-pure-Python twin (``pure``).  The compiled one is preferred when built;
-set BAYESFLIP_BACKEND=pure or =compiled to force a choice.  Results are
-backend-independent (equivalence-tested), so selection never changes
-behaviour, only speed.
+The numerics layer calls them directly; they assume validated inputs.
 """
-
-import os
-
-
-def load_backend(name=None):
-    """Return the kernel module for ``name`` (None/"auto" = best available)."""
-    if name is None:
-        name = os.environ.get("BAYESFLIP_BACKEND")
-    if name in (None, "", "auto"):
-        try:
-            from . import _core
-            return _core
-        except ImportError:
-            from . import pure
-            return pure
-    if name == "pure":
-        from . import pure
-        return pure
-    if name == "compiled":
-        from . import _core  # an ImportError here is deliberate and loud
-        return _core
-    raise ValueError(f"unknown kernel backend {name!r}")
-
-
-active = load_backend()
-BACKEND = active.BACKEND_NAME
-lambert_w0 = active.lambert_w0
-marginal_loglik = active.marginal_loglik

@@ -65,6 +65,8 @@ class TestSetup:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"sample size must be >= 1, got {self.n}")
+        if not math.isfinite(self.z):
+            raise DomainError(f"z-statistic must be finite, got {self.z}")
         if self.sigma != 1.0:
             raise DomainError(f"the model fixes sigma = 1, got {self.sigma}")
 
@@ -85,8 +87,8 @@ class NormalPrior:
     tau: float
 
     def __post_init__(self):
-        if not self.tau > 0.0:
-            raise DomainError(f"tau must be positive, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise DomainError(f"tau must be positive and finite, got {self.tau}")
 
     def k(self, setup: TestSetup) -> float:
         """Derived prior precision relative to the data: n * tau^2."""

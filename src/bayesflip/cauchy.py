@@ -1,16 +1,23 @@
-"""Quadrature-based Bayes factors for a zero-centred Cauchy prior on the
-mean, demonstrating that flip behaviour is not an artifact of the normal
-prior.
+"""Bayes factors for a zero-centred Cauchy prior on the mean, showing that
+flip behaviour is not an artifact of the normal prior.
 
 The Cauchy scale prior sits directly on mu with sigma = 1, so mu
-coincides with the standardized effect size:
+coincides with the standardized effect size, and with gamma = sqrt(n)*r
+the H1 marginal of z is a Voigt profile: a unit normal convolved with a
+Cauchy of half-width gamma.  In closed form,
 
-    BF01 = N(z; 0, 1) / integral of N(z; sqrt(n)*mu, 1) * Cauchy(mu; 0, r) dmu.
+    log BF01 = -z^2/2 - log Re w((|z| + i*gamma) / sqrt(2)),
 
-No closed form exists, so the flip scale r* (where BF01 = 1) is located
-by a log-spaced scan for a sign change followed by a bracketed root
-solve.  A normal-prior route through the same quadrature pipeline
-cross-validates it against the closed form.
+with w the Faddeeva function (kernel ``log_re_faddeeva``).  BF01
+depends on n and r only through gamma, so the flip scale solves for
+gamma* = sqrt(n)*r*, a function of z alone, in log gamma.  A flip exists
+exactly when |z| > Z_CRIT = sqrt(2)*x0, where x0 maximises Dawson's
+function: below it BF01 >= 1 for every r.
+
+The adaptive quadrature survives as an independent oracle: the
+normal-prior route through it (bf01_normal_via_quadrature) is checked
+against the normal closed form, and MarginalIntegrand with a Cauchy
+prior against this module.
 """
 
 from __future__ import annotations
@@ -18,8 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._kernels.pure import log_re_faddeeva
 from .bayes_factor import BayesFactorResult, NormalPrior, TestSetup
-from .errors import DomainError, NoFlipPoint
+from .errors import ConvergenceError, DomainError, NoFlipPoint
 from .numerics import (
     DEFAULT_CONFIG,
     Bracket,
@@ -30,11 +38,19 @@ from .numerics import (
     marginal_log_integral,
 )
 
-__all__ = ["CauchyPrior", "bf01_cauchy", "bf01_normal_via_quadrature", "cauchy_flip_scale"]
+__all__ = ["CauchyPrior", "Z_CRIT", "bf01_cauchy", "bf01_normal_via_quadrature",
+           "cauchy_flip_scale"]
 
-_FLIP_SCAN_LO = 1e-4
-_FLIP_SCAN_HI = 1e3
-_FLIP_SCAN_POINTS = 36
+# sqrt(2) * x0, with x0 the root of 2 x F(x) = 1 (F Dawson's function)
+Z_CRIT = 1.306929727719281
+
+_SQRT2 = math.sqrt(2.0)
+_LOG_SQRT_2_OVER_PI = 0.5 * math.log(2.0 / math.pi)
+# gamma* = gamma_a * exp(-(z^2 + 1) / gamma_a^2 + ...), and from gamma_a =
+# 1e10 on the correction is below 5e-19: gamma_a is gamma* in double
+# precision.
+_LOG_GAMMA_ASYMPTOTIC = math.log(1e10)
+_MAX_BRACKET_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -44,21 +60,24 @@ class CauchyPrior:
     r: float
 
     def __post_init__(self):
-        if not self.r > 0.0:
-            raise DomainError(f"Cauchy scale must be positive, got {self.r}")
+        if not 0.0 < self.r < math.inf:
+            raise DomainError(f"Cauchy scale must be positive and finite, got {self.r}")
 
 
-def _log_bf01_quadrature(setup: TestSetup, family: str, scale: float,
-                         cfg: SolverConfig) -> float:
-    integrand = MarginalIntegrand(z=setup.z, n=setup.n, prior_family=family, scale=scale)
-    return log_std_normal_pdf(setup.z) - marginal_log_integral(integrand, cfg)
+def _log_bf01_voigt(z: float, gamma: float) -> float:
+    x = abs(z) / _SQRT2
+    return -x * x - log_re_faddeeva(x, gamma / _SQRT2)
 
 
 def bf01_cauchy(setup: TestSetup, prior: CauchyPrior,
                 cfg: SolverConfig = DEFAULT_CONFIG) -> BayesFactorResult:
-    """Bayes factor in favour of the null under the Cauchy prior, with
-    the H1 marginal computed by adaptive real-line quadrature."""
-    return BayesFactorResult.from_log(_log_bf01_quadrature(setup, "cauchy", prior.r, cfg))
+    """Bayes factor in favour of the null under the Cauchy prior, from the
+    closed-form Voigt marginal.  ``cfg`` is accepted for compatibility and
+    has no effect: nothing here iterates to a tolerance."""
+    gamma = math.sqrt(setup.n) * prior.r
+    if gamma == math.inf:
+        raise DomainError(f"sqrt(n) * r overflows a float (n = {setup.n}, r = {prior.r})")
+    return BayesFactorResult.from_log(_log_bf01_voigt(setup.z, gamma))
 
 
 def bf01_normal_via_quadrature(setup: TestSetup, prior: NormalPrior,
@@ -68,34 +87,52 @@ def bf01_normal_via_quadrature(setup: TestSetup, prior: NormalPrior,
     Exists to cross-validate the pipeline: the result must match the
     closed form to ~1e-8 relative.
     """
-    return BayesFactorResult.from_log(_log_bf01_quadrature(setup, "normal", prior.tau, cfg))
+    integrand = MarginalIntegrand(z=setup.z, n=setup.n, prior_family="normal", scale=prior.tau)
+    return BayesFactorResult.from_log(
+        log_std_normal_pdf(setup.z) - marginal_log_integral(integrand, cfg))
 
 
 def cauchy_flip_scale(setup: TestSetup, cfg: SolverConfig = DEFAULT_CONFIG) -> float:
-    """The Cauchy scale r* at which BF01 crosses 1, searched over
-    r in [1e-4, 1e3].
+    """The Cauchy scale r* at which BF01 crosses 1 from below as r grows.
 
-    Raises NoFlipPoint when log BF01 does not change sign anywhere on the
-    scan grid (e.g. |z| <= 1, where the evidence never favours H1).
+    Solves log BF01 = 0 for gamma* = sqrt(n)*r* in s = log(gamma /
+    gamma_a), where gamma_a = sqrt(2/pi) exp(z^2/2) is the large-gamma
+    asymptote of gamma*.  log BF01 > 0 at gamma_a (Re w < 1/(sqrt(pi) y)
+    for every y), and below gamma* it is negative down to gamma -> 0, so
+    stepping s down from 0 by 1 brackets the root.  From gamma_a = 1e10 on,
+    gamma_a is gamma* to double precision and is returned as is.
+
+    Just above Z_CRIT log BF01 dips below 0 only by ~(|z| - Z_CRIT)^2, so
+    the relative error of r* grows like 1e-16 / (|z| - Z_CRIT)^2: it is
+    below 1e-10 from |z| = 1.3072 on and 5e-4 at |z| = 1.30693.
+
+    Raises NoFlipPoint for |z| <= Z_CRIT, where BF01 >= 1 at every r;
+    ConvergenceError when |z| is so close above Z_CRIT that log BF01 < 0
+    is lost to rounding; DomainError when r* overflows a float.
     """
+    z = abs(setup.z)
+    if not z > Z_CRIT:
+        raise NoFlipPoint(
+            f"no Cauchy flip scale for |z| = {z} <= {Z_CRIT}: BF01 >= 1 at every r")
+    log_gamma_a = 0.5 * z * z + _LOG_SQRT_2_OVER_PI
+    log_gamma = log_gamma_a
+    if log_gamma_a < _LOG_GAMMA_ASYMPTOTIC:
+        gamma_a = math.exp(log_gamma_a)
 
-    def f(r: float) -> float:
-        return _log_bf01_quadrature(setup, "cauchy", r, cfg)
+        def f(s: float) -> float:
+            return _log_bf01_voigt(z, gamma_a * math.exp(s))
 
-    step = math.log(_FLIP_SCAN_HI / _FLIP_SCAN_LO) / (_FLIP_SCAN_POINTS - 1)
-    prev_r = _FLIP_SCAN_LO
-    prev_v = f(prev_r)
-    if prev_v == 0.0:
-        return prev_r
-    for i in range(1, _FLIP_SCAN_POINTS):
-        r = _FLIP_SCAN_LO * math.exp(i * step)
-        v = f(r)
-        if v == 0.0:
-            return r
-        if (prev_v < 0.0) != (v < 0.0):
-            return find_root(f, Bracket(prev_r, r), cfg)
-        prev_r, prev_v = r, v
-    raise NoFlipPoint(
-        f"log BF01 keeps one sign over r in [{_FLIP_SCAN_LO:g}, {_FLIP_SCAN_HI:g}] "
-        f"for z = {setup.z}, n = {setup.n}"
-    )
+        lo = 0.0
+        while not f(lo) < 0.0:
+            lo -= 1.0
+            if lo < -_MAX_BRACKET_STEPS:
+                raise ConvergenceError(
+                    f"log BF01 does not resolve below 0 for |z| = {z}, too close to {Z_CRIT}")
+        log_gamma += find_root(f, Bracket(lo, lo + 1.0), cfg)
+    log_r = log_gamma - 0.5 * math.log(setup.n)
+    try:
+        return math.exp(log_r)
+    except OverflowError:
+        raise DomainError(
+            f"Cauchy flip scale r* = exp({log_r:.6g}) overflows a float "
+            f"for z = {setup.z}, n = {setup.n}") from None

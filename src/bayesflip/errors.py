@@ -23,12 +23,15 @@ class MaxIterExceeded(BayesFlipError):
 
 
 class ConvergenceError(BayesFlipError):
-    """Quadrature error estimate could not reach the requested tolerance."""
+    """A numerical result could not reach the requested tolerance: a
+    quadrature error estimate, or a flip scale too close to its critical
+    z-statistic to resolve in floating point."""
 
 
 class NoFlipPoint(BayesFlipError):
-    """No evidence-reversal point exists for the given inputs (|z| <= 1,
-    or no sign change of the log Bayes factor over the search range)."""
+    """No evidence-reversal point exists for the given inputs: |z| <= 1
+    for a normal prior, |z| <= cauchy.Z_CRIT (~1.30693) for a Cauchy
+    prior."""
 
 
 class NotAReversal(BayesFlipError):

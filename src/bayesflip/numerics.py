@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from . import _kernels
 from ._kernels import pure as _pure
 from .errors import ConvergenceError, DomainError, MaxIterExceeded, NoSignChange
 
@@ -152,7 +151,7 @@ def lambert_w0(x: float, cfg: SolverConfig = DEFAULT_CONFIG) -> float:
             raise DomainError(f"lambert_w0 domain is [-1/e, inf); got {x}")
         return -1.0
     try:
-        return _kernels.lambert_w0(x, cfg.rel_tol, cfg.max_iter)
+        return _pure.lambert_w0(x, cfg.rel_tol, cfg.max_iter)
     except ArithmeticError as exc:
         raise MaxIterExceeded(str(exc)) from None
 
@@ -163,9 +162,9 @@ class MarginalIntegrand:
     mu -> N(z; sqrt(n)*mu, 1) * prior(mu; 0, scale).
 
     It is an ordinary callable, but carries enough structure that
-    integrate_real_line can route it to the active kernel backend (the
-    compiled extension when built) and place split points that resolve
-    both the likelihood spike and the prior body.
+    integrate_real_line can route it to the log-space quadrature kernel
+    and place split points that resolve both the likelihood spike and the
+    prior body.
     """
 
     z: float
@@ -194,9 +193,9 @@ class MarginalIntegrand:
 def marginal_log_integral(f: MarginalIntegrand,
                           cfg: SolverConfig = DEFAULT_CONFIG) -> float:
     """log of integrate_real_line(f) for a MarginalIntegrand, computed
-    fully in log space on the active kernel backend."""
+    fully in log space by adaptive quadrature."""
     try:
-        return _kernels.marginal_loglik(
+        return _pure.marginal_loglik(
             f.z, float(f.n), f.kind, f.scale, cfg.rel_tol, _MAX_QUAD_DEPTH
         )
     except ArithmeticError as exc:

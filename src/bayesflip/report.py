@@ -106,7 +106,7 @@ def scale_grid(lo: float, hi: float, points: int, spacing: str = "linear") -> li
 def sweep_rows(setup: TestSetup, prior_family: str, scales: list[float],
                cfg: SolverConfig = DEFAULT_CONFIG) -> list[SweepRow]:
     """One SweepRow per scale; normal priors use the closed form, Cauchy
-    priors go through quadrature."""
+    priors the closed-form Voigt marginal."""
     rows = []
     for s in scales:
         if prior_family == "normal":

@@ -44,6 +44,14 @@ class TestSetupAndPrior:
             NormalPrior(-1.0)
         assert NormalPrior(0.8).k(TestSetup(n=50, z=2.0)) == pytest.approx(32.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        """A NaN must not come back as evidence for H0."""
+        with pytest.raises(DomainError):
+            TestSetup(n=50, z=bad)
+        with pytest.raises(DomainError):
+            NormalPrior(bad)
+
 
 class TestLogBf01:
     def test_zero_precision_is_neutral_for_any_z(self):
