@@ -14,6 +14,7 @@ posterior probability of the null, and two-sided p-values.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,6 +41,16 @@ _SQRT2 = math.sqrt(2.0)
 NEUTRAL_LOG_BAND = 1e-12
 
 
+def _check_sample_size(n: int) -> None:
+    """Raise DomainError unless n is an integer >= 1 (bool excluded)."""
+    try:
+        ok = not isinstance(n, bool) and operator.index(n) >= 1
+    except TypeError:
+        ok = False
+    if not ok:
+        raise DomainError(f"sample size must be an integer >= 1, got {n!r}")
+
+
 class Direction(Enum):
     """Which hypothesis the Bayes factor favours."""
 
@@ -63,8 +74,7 @@ class TestSetup:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"sample size must be >= 1, got {self.n}")
+        _check_sample_size(self.n)
         if not math.isfinite(self.z):
             raise DomainError(f"z-statistic must be finite, got {self.z}")
         if self.sigma != 1.0:
@@ -105,12 +115,15 @@ class BayesFactorResult:
 
     @classmethod
     def from_log(cls, log_bf: float) -> "BayesFactorResult":
+        """Result for log BF01; BF01 underflows to 0.0 below about -745."""
         if abs(log_bf) <= NEUTRAL_LOG_BAND:
             direction = Direction.NEUTRAL
         elif log_bf < 0.0:
             direction = Direction.FAVOURS_H1
-        else:
+        elif log_bf > 0.0:
             direction = Direction.FAVOURS_H0
+        else:  # only nan fails all three comparisons
+            raise DomainError("log BF01 is nan")
         return cls(bf01=math.exp(log_bf), log_bf01=log_bf, direction=direction)
 
 

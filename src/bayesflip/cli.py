@@ -5,6 +5,10 @@ text goes to stdout by default; --format csv|json|svg switches to
 machine output carrying full float precision, written to --out when
 given.  Exit codes: 0 success, 1 computation/domain error, 2 usage
 error.
+
+Every invocation is a fresh process, so ``report`` and ``svg`` are
+imported inside the handlers and renderers that use them: a command
+loads only the modules it runs.
 """
 
 from __future__ import annotations
@@ -16,12 +20,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from . import report, svg
 from .bayes_factor import Direction, NormalPrior, TestSetup, bf01, posterior_prob_h0
 from .cauchy import CauchyPrior, bf01_cauchy
 from .errors import BayesFlipError
 from .flip import FlipMethod, flip_point, reversal_pair, tau_star
-from .report import ROW_FLIP, ROW_MARKER, ROW_POINT
 
 _DIRECTION_TEXT = {
     Direction.FAVOURS_H1: "favours H1",
@@ -165,7 +167,9 @@ def _cmd_bf(run: RunConfig) -> dict:
     else:
         res = bf01_cauchy(setup, CauchyPrior(p["scale"]))
         k = None
-    post = posterior_prob_h0(res.bf01)
+    # BF01 underflows to 0.0 below log BF01 ~ -745 (|z| >~ 39), where the
+    # posterior of H0, below the smallest float, correctly rounds to 0.0
+    post = posterior_prob_h0(res.bf01) if res.bf01 > 0.0 else 0.0
     d = run.precision
     human = "\n".join([
         f"z            {p['z']:.{d}f}",
@@ -211,6 +215,8 @@ def _cmd_flip(run: RunConfig) -> dict:
 
 
 def _cmd_sweep(run: RunConfig) -> dict:
+    from . import report
+
     p = run.parameters
     setup = TestSetup(n=p["n"], z=p["z"])
     scales = report.scale_grid(p["scale_min"], p["scale_max"], p["points"], p["spacing"])
@@ -229,9 +235,11 @@ def _cmd_sweep(run: RunConfig) -> dict:
     )
 
     def _svg() -> str:
-        points = [r for r in rows if r.kind == ROW_POINT]
+        from . import svg
+
+        points = [r for r in rows if r.kind == report.ROW_POINT]
         markers = [svg.Marker(r.scale, r.bf01, label=f"scale*={r.scale:.3g}")
-                   for r in rows if r.kind == ROW_FLIP]
+                   for r in rows if r.kind == report.ROW_FLIP]
         chart = svg.line_chart(
             [svg.Series(f"z={p['z']:g}", tuple(r.scale for r in points),
                         tuple(r.bf01 for r in points))],
@@ -247,6 +255,8 @@ def _cmd_sweep(run: RunConfig) -> dict:
 
 
 def _cmd_table1(run: RunConfig) -> dict:
+    from . import report
+
     rows = report.table_rows()
     header = ["z", "z_squared", "p_value", "k_star", "tau_star_n50", "tau_star_n100"]
     cells = [[r.z, r.z_squared, r.p_value, r.k_star, r.tau_star_n50, r.tau_star_n100]
@@ -263,6 +273,8 @@ def _cmd_table1(run: RunConfig) -> dict:
 
 
 def _cmd_figure1(run: RunConfig) -> dict:
+    from . import report
+
     p = run.parameters
     panel_a = report.figure_panel_a(p["points_a"])
     panel_b = report.figure_panel_b(p["points_b"])
@@ -278,26 +290,30 @@ def _cmd_figure1(run: RunConfig) -> dict:
         f"panel b: {len(panel_b)} rows (BF01 vs tau, z=2, n=50; markers at tau=0.8, 1.5)",
         "use --format csv|json (and --out) for the data",
         "flip points: " + ", ".join(
-            f"z={r.z:g}: k*={r.x:.{d}f}" for r in panel_a if r.kind == ROW_FLIP),
+            f"z={r.z:g}: k*={r.x:.{d}f}" for r in panel_a if r.kind == report.ROW_FLIP),
     ])
 
     def _svg_a() -> str:
+        from . import svg
+
         series = []
         for i, z in enumerate(report.TABLE_Z_VALUES):
-            pts = [r for r in panel_a if r.kind == ROW_POINT and r.z == z]
+            pts = [r for r in panel_a if r.kind == report.ROW_POINT and r.z == z]
             series.append(svg.Series(f"z={z:g}", tuple(r.x for r in pts),
                                      tuple(r.bf01 for r in pts),
                                      color=svg.PALETTE[i % len(svg.PALETTE)]))
-        markers = [svg.Marker(r.x, r.bf01) for r in panel_a if r.kind == ROW_FLIP]
+        markers = [svg.Marker(r.x, r.bf01) for r in panel_a if r.kind == report.ROW_FLIP]
         return svg.line_chart(series, markers, title="BF01 vs k = n tau^2",
                               x_label="k", y_label="BF01",
                               log_x=True, log_y=True, ref_y=1.0)
 
     def _svg_b() -> str:
-        pts = [r for r in panel_b if r.kind == ROW_POINT]
+        from . import svg
+
+        pts = [r for r in panel_b if r.kind == report.ROW_POINT]
         markers = [svg.Marker(r.x, r.bf01, label=f"tau={r.x:.3g}")
-                   for r in panel_b if r.kind == ROW_MARKER]
-        flips = [r for r in panel_b if r.kind == ROW_FLIP]
+                   for r in panel_b if r.kind == report.ROW_MARKER]
+        flips = [r for r in panel_b if r.kind == report.ROW_FLIP]
         return svg.line_chart(
             [svg.Series("z=2, n=50", tuple(r.x for r in pts), tuple(r.bf01 for r in pts))],
             markers, title="BF01 vs tau (z=2, n=50)", x_label="tau", y_label="BF01",

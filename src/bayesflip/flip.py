@@ -16,7 +16,8 @@ builds/validates scale pairs that reverse the direction of evidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .bayes_factor import Direction, NormalPrior, TestSetup, bf01
@@ -47,6 +48,13 @@ _LAMBERT_SAFE_Z = 1.001
 
 # |(1+k*) log(1+k*) - z^2 k*| must stay within this times z^2 * k*.
 _RESIDUAL_BOUND = 1e-9
+
+_MAX_FLOAT = sys.float_info.max
+_LOG_MAX_FLOAT = math.log(_MAX_FLOAT)
+
+# Below this k, phi(k) - 1 comes from its Taylor series (truncation error
+# below 1e-17 relative); above it the closed form loses at most ~1e-13.
+_PHI_SERIES_K = 0.01
 
 
 @dataclass(frozen=True)
@@ -96,38 +104,67 @@ def phi_inverse(y: float, cfg: SolverConfig = DEFAULT_CONFIG) -> float:
     return find_root(lambda k: phi(k) - y, Bracket(lo, hi), cfg)
 
 
-def _flip_residual(k: float, z2: float) -> float:
-    return (1.0 + k) * math.log1p(k) - z2 * k
+def _phi_minus_one(k: float) -> float:
+    """phi(k) - 1 for k > 0, without the cancellation of the closed form at
+    small k and without overflow up to the largest float."""
+    if k < _PHI_SERIES_K:
+        # phi(k) - 1 = sum_{m >= 2} (-1)^m k^(m-1) / (m (m-1))
+        return k * (1 / 2 - k * (1 / 6 - k * (1 / 12 - k * (1 / 20 - k * (
+            1 / 30 - k * (1 / 42 - k * (1 / 56 - k / 72)))))))
+    return (1.0 + k) / k * math.log1p(k) - 1.0
+
+
+def _no_finite_k_star(z: float) -> DomainError:
+    return DomainError(
+        f"k* overflows a float (log(1 + k*) > {_LOG_MAX_FLOAT:.2f}, "
+        f"i.e. |z| > {math.sqrt(_LOG_MAX_FLOAT):.3f}); got z = {z}"
+    )
 
 
 def flip_point(z: float, method: FlipMethod = FlipMethod.BRACKETED,
                cfg: SolverConfig = DEFAULT_CONFIG) -> FlipPointResult:
     """The unique k* > z^2 - 1 with BF01(z; k*) = 1; requires |z| > 1.
 
-    BRACKETED solves (1+k) log(1+k) - z^2 k = 0 starting from the
-    Bayes-factor minimum at z^2 - 1 (negative there) and doubling the
-    upper end until the residual turns positive.  LAMBERT_W evaluates
-    exp(W0(-z^2 e^{-z^2}) + z^2) - 1; the principal branch picks out the
-    nontrivial root (W-1 only recovers k = 0).  For 1 < |z| < 1.001 the
-    bracketed route is used regardless of the requested method.
+    BRACKETED solves (phi(k) - 1) - (z^2 - 1) = 0, the flip equation
+    (1+k) log(1+k) = z^2 k divided by k, with both sides formed so they stay
+    accurate as z -> 1.  Since log(1+k) < phi(k) < log(1+k) + 1, k* lies
+    between the k with log(1+k) = z^2 - 1 and the k with log(1+k) =
+    z^2 + 0.5, a bracket known before any evaluation.  The solve stops on a
+    relative interval width alone, which is safe because k* > z^2 - 1 > 0.
+    LAMBERT_W evaluates exp(W0(-z^2 e^{-z^2}) + z^2) - 1; the principal
+    branch picks out the nontrivial root (W-1 only recovers k = 0).  For
+    1 < |z| < 1.001 the bracketed route is used regardless of the requested
+    method.  Both routes raise DomainError where k* is not a finite float,
+    |z| above about 26.64.
     """
-    if abs(z) <= 1.0:
+    a = abs(z)
+    if a <= 1.0:
         raise NoFlipPoint(
             f"|z| must exceed 1 for a flip point (BF01 >= 1 for all k); got z = {z}"
         )
     z2 = z * z
+    z2m1 = (a - 1.0) * (a + 1.0)  # z^2 - 1 without cancellation near |z| = 1
     used = method
-    if method is FlipMethod.LAMBERT_W and abs(z) >= _LAMBERT_SAFE_Z:
+    if method is FlipMethod.LAMBERT_W and a >= _LAMBERT_SAFE_Z:
+        # log(1 + k*) = z^2 + W0(-z^2 e^{-z^2}), and |W0| < 1e-300 wherever
+        # z^2 is near log(DBL_MAX), so testing z^2 alone decides the same
+        if z2 > _LOG_MAX_FLOAT:
+            raise _no_finite_k_star(z)
         k_star = math.expm1(lambert_w0(-z2 * math.exp(-z2), cfg) + z2)
     else:
         used = FlipMethod.BRACKETED
-        lo = z2 - 1.0
-        hi = max(2.0 * lo, 2.0)
-        while _flip_residual(hi, z2) <= 0.0:
-            hi *= 2.0
-        k_star = find_root(lambda k: _flip_residual(k, z2), Bracket(lo, hi), cfg)
-    residual = _flip_residual(k_star, z2)
-    if not k_star > z2 - 1.0 or abs(residual) > _RESIDUAL_BOUND * z2 * k_star:
+        if z2m1 >= _LOG_MAX_FLOAT:
+            raise _no_finite_k_star(z)
+        lo = math.expm1(z2m1)
+        hi = math.expm1(z2m1 + 1.5) if z2m1 + 1.5 < _LOG_MAX_FLOAT else _MAX_FLOAT
+        if not _phi_minus_one(hi) > z2m1:
+            raise _no_finite_k_star(z)
+        k_star = find_root(lambda k: _phi_minus_one(k) - z2m1, Bracket(lo, hi),
+                           replace(cfg, abs_tol=0.0))
+    # (1+k) log(1+k) - z^2 k = k (phi(k) - z^2), formed so it cannot overflow
+    gap = _phi_minus_one(k_star) - z2m1
+    residual = k_star * gap
+    if not k_star > z2m1 or abs(gap) > _RESIDUAL_BOUND * z2:
         raise ConvergenceError(
             f"flip point failed validation: k* = {k_star}, residual = {residual}"
         )

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ._kernels import pure as _pure
+from .bayes_factor import _check_sample_size
 from .errors import ConvergenceError, DomainError, MaxIterExceeded, NoSignChange
 
 __all__ = [
@@ -175,8 +176,7 @@ class MarginalIntegrand:
     def __post_init__(self):
         if self.prior_family not in ("normal", "cauchy"):
             raise DomainError(f"unknown prior family {self.prior_family!r}")
-        if self.n < 1:
-            raise DomainError(f"sample size must be >= 1, got {self.n}")
+        _check_sample_size(self.n)
         if not self.scale > 0.0:
             raise DomainError(f"prior scale must be positive, got {self.scale}")
 

@@ -9,13 +9,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 __all__ = ["Series", "Marker", "line_chart", "PALETTE"]
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 30, 46
+
+
+def _escape(text: str) -> str:
+    """XML text escape: the three characters ``xml.sax.saxutils.escape``
+    replaces, without that module's ``urllib``/``email`` import chain."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 @dataclass(frozen=True)
@@ -105,7 +110,7 @@ def line_chart(series: list[Series], markers: list[Marker] = (), *,
     ]
     if title:
         out.append(f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
-                   f'font-size="14">{escape(title)}</text>')
+                   f'font-size="14">{_escape(title)}</text>')
 
     # axes box
     out.append(f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
@@ -131,11 +136,11 @@ def line_chart(series: list[Series], markers: list[Marker] = (), *,
                    f'text-anchor="end">{_fmt(t)}</text>')
     if x_label:
         out.append(f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{height - 10}" '
-                   f'text-anchor="middle">{escape(x_label)}</text>')
+                   f'text-anchor="middle">{_escape(x_label)}</text>')
     if y_label:
         yc = _MARGIN_T + plot_h / 2
         out.append(f'<text x="16" y="{yc:.1f}" text-anchor="middle" '
-                   f'transform="rotate(-90 16 {yc:.1f})">{escape(y_label)}</text>')
+                   f'transform="rotate(-90 16 {yc:.1f})">{_escape(y_label)}</text>')
 
     if ref_y is not None:
         y = py(ref_y)
@@ -159,7 +164,7 @@ def line_chart(series: list[Series], markers: list[Marker] = (), *,
                    f'fill="{m.color}" stroke="white" stroke-width="1"/>')
         if m.label:
             out.append(f'<text x="{px(m.x) + 6:.1f}" y="{py(m.y) - 6:.1f}" '
-                       f'fill="{m.color}">{escape(m.label)}</text>')
+                       f'fill="{m.color}">{_escape(m.label)}</text>')
 
     # legend, top-right inside the plot box
     for i, s in enumerate(series):
@@ -169,7 +174,7 @@ def line_chart(series: list[Series], markers: list[Marker] = (), *,
         x = _MARGIN_L + plot_w - 130
         out.append(f'<line x1="{x}" y1="{y - 4}" x2="{x + 22}" y2="{y - 4}" '
                    f'stroke="{s.color}" stroke-width="1.6"/>')
-        out.append(f'<text x="{x + 28}" y="{y}">{escape(s.label)}</text>')
+        out.append(f'<text x="{x + 28}" y="{y}">{_escape(s.label)}</text>')
 
     out.append("</svg>")
     return "\n".join(out)

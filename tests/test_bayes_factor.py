@@ -208,3 +208,24 @@ class TestTwoSidedP:
             p = two_sided_p(float(z))
             assert 0.0 < p <= 1.0
             assert p == two_sided_p(float(-z))
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("n", [2.5, 50.0, True, False, "50", None])
+    def test_sample_size_must_be_an_integer(self, n):
+        with pytest.raises(DomainError):
+            TestSetup(n=n, z=2.0)
+
+    def test_integer_like_sample_sizes_accepted(self):
+        assert TestSetup(n=np.int64(50), z=2.0).n == 50
+
+    def test_nan_log_bf_rejected(self):
+        with pytest.raises(DomainError):
+            BayesFactorResult.from_log(float("nan"))
+
+    def test_underflowed_bf_keeps_its_log(self):
+        # |z| = 40: BF01 = e^-782 underflows, log BF01 and direction stay exact
+        res = bf01(TestSetup(50, 40.0), NormalPrior(1.0))
+        assert res.bf01 == 0.0
+        assert res.log_bf01 == pytest.approx(log_bf01(40.0, 50.0), rel=1e-15)
+        assert res.direction is Direction.FAVOURS_H1

@@ -230,3 +230,23 @@ class TestParadoxCommand:
         assert obj["tau_star"] == pytest.approx(0.09, abs=0.005)
         assert obj["bf1"] < 1.0 < obj["bf2"]
         assert obj["posterior_h0_tau1"] < 0.5 < obj["posterior_h0_tau2"]
+
+
+class TestDomainEdges:
+    @pytest.mark.parametrize("prior", ["normal", "cauchy"])
+    def test_bf_with_underflowing_bayes_factor(self, prior):
+        cp = run_cli("bf", "--z", "40", "--n", "50", "--prior", prior, "--scale", "1",
+                     "--format", "json")
+        assert cp.returncode == 0, cp.stderr
+        obj = json.loads(cp.stdout)
+        assert math.isfinite(obj["log_bf01"]) and obj["log_bf01"] < -745
+        assert obj["bf01"] == 0.0 and obj["posterior_prob_h0"] == 0.0
+        assert obj["direction"] == "favours_h1"
+
+    @pytest.mark.parametrize("method", ["bracketed", "lambert_w", "both"])
+    def test_flip_beyond_finite_k_star(self, method):
+        cp = run_cli("flip", "--z", "30", "--method", method)
+        assert cp.returncode == 1
+        lines = cp.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), cp.stderr
+        assert "z = 30.0" in lines[0]

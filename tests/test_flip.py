@@ -3,6 +3,7 @@ to k*, critical prior scales, and reversal-pair construction."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -202,3 +203,38 @@ class TestValidatePair:
     def test_nonpositive_scales_rejected(self):
         with pytest.raises(DomainError):
             validate_pair(TestSetup(n=50, z=2.0), 0.0, 1.5)
+
+
+def mp_k_star(z):
+    """k* = expm1(W0(-z^2 e^{-z^2}) + z^2) at 50 digits, from the float z."""
+    with mpmath.workdps(50):
+        z2 = mpmath.mpf(z) ** 2
+        return mpmath.expm1(mpmath.lambertw(-z2 * mpmath.exp(-z2)) + z2)
+
+
+class TestFlipPointDomainEdges:
+    def test_near_one_matches_mpmath(self):
+        # k* ~ 4 (z - 1): both sides of the flip equation cancel here
+        for d in np.logspace(-9, -3, 40):
+            z = 1.0 + float(d)
+            k = flip_point(z).k_star
+            assert abs(k / mp_k_star(z) - 1) <= 1e-10, z
+
+    def test_reported_near_one_case(self):
+        z = 1.0000001422860376
+        assert abs(flip_point(z).k_star / mp_k_star(z) - 1) <= 1e-10
+
+    @pytest.mark.parametrize("z", [26.5, 26.64, 26.6417475])
+    def test_largest_finite_k_star(self, z):
+        b = flip_point(z, FlipMethod.BRACKETED)
+        l = flip_point(z, FlipMethod.LAMBERT_W)
+        for fp in (b, l):
+            assert math.isfinite(fp.k_star) and math.isfinite(fp.residual)
+        assert l.k_star == pytest.approx(b.k_star, rel=1e-9)
+        assert b.k_star == pytest.approx(float(mp_k_star(z)), rel=1e-10)
+
+    @pytest.mark.parametrize("z", [27.0, 30.0, 40.0, -30.0])
+    @pytest.mark.parametrize("method", [FlipMethod.BRACKETED, FlipMethod.LAMBERT_W])
+    def test_overflowing_k_star_is_domain_error(self, z, method):
+        with pytest.raises(DomainError, match=f"z = {z}"):
+            flip_point(z, method)

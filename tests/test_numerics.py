@@ -170,6 +170,11 @@ class TestIntegrateRealLine:
         with pytest.raises(DomainError):
             MarginalIntegrand(z=1.0, n=0, prior_family="normal", scale=1.0)
 
+    @pytest.mark.parametrize("n", [2.5, 10.0, True])
+    def test_marginal_integrand_needs_integer_n(self, n):
+        with pytest.raises(DomainError):
+            MarginalIntegrand(z=1.0, n=n, prior_family="normal", scale=1.0)
+
 
 class TestStdNormal:
     def test_cdf_at_zero(self):

@@ -1,0 +1,89 @@
+"""Start-up stays lean: what each CLI command imports, checked by module
+name in fresh processes rather than by timing, plus the SVG escape that
+replaced ``xml.sax.saxutils``."""
+
+import json
+import os
+import subprocess
+import sys
+import xml.etree.ElementTree as ET
+from pathlib import Path
+from xml.sax.saxutils import escape
+
+from bayesflip import svg
+
+REPO = Path(__file__).resolve().parents[1]
+
+# modules a command that draws no chart and builds no report must not load:
+# the standard-library chain behind xml.sax.saxutils, and the lazy modules
+HEAVY = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket",
+         "bayesflip.report", "bayesflip.svg")
+
+
+def loaded_by(code: str) -> set[str]:
+    """Modules that appear in sys.modules while ``code`` runs in a fresh
+    interpreter, after the interpreter's own start-up."""
+    script = (
+        "import sys, json\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        "json.dump(sorted(set(sys.modules) - before), sys.stdout)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    cp = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                        env=env, check=True)
+    return set(json.loads(cp.stdout.splitlines()[-1]))
+
+
+def heavy_in(modules: set[str]) -> set[str]:
+    return {m for m in modules for h in HEAVY if m == h or m.startswith(h + ".")}
+
+
+def test_import_cli_loads_nothing_heavy():
+    mods = loaded_by("import bayesflip.cli")
+    assert "bayesflip.cli" in mods
+    assert heavy_in(mods) == set()
+
+
+def test_bf_command_loads_nothing_heavy():
+    mods = loaded_by('from bayesflip.cli import main\n'
+                     'main(["bf", "--z", "2", "--n", "50", "--scale", "0.8", "--format", "json"])')
+    assert heavy_in(mods) == set()
+
+
+def test_table1_loads_report_but_not_svg():
+    mods = loaded_by('from bayesflip.cli import main\nmain(["table1", "--format", "csv"])')
+    assert heavy_in(mods) == {"bayesflip.report"}
+
+
+def test_figure1_svg_loads_svg(tmp_path):
+    out = str(tmp_path / "fig")
+    mods = loaded_by('from bayesflip.cli import main\n'
+                     'main(["figure1", "--points-a", "12", "--points-b", "12", '
+                     f'"--format", "svg", "--out", {out!r}])')
+    assert {"bayesflip.report", "bayesflip.svg"} <= mods
+    assert not {"xml.sax", "urllib.request", "email"} & mods
+    for tag in ("panel_a", "panel_b"):
+        ET.parse(tmp_path / f"fig_{tag}.svg")
+
+
+MARKUP = ("a & b", "x < y > z", "&amp; <tag/>", "R&D <b>", "plain")
+
+
+def test_escape_matches_saxutils():
+    for text in MARKUP:
+        assert svg._escape(text) == escape(text)
+
+
+def test_chart_with_markup_in_every_label():
+    doc = svg.line_chart(
+        [svg.Series(MARKUP[0], (1.0, 2.0, 3.0), (0.5, 1.0, 2.0)),
+         svg.Series(MARKUP[1], (1.0, 2.0, 3.0), (1.5, 1.2, 0.9))],
+        [svg.Marker(2.0, 1.0, label=MARKUP[2])],
+        title=MARKUP[3], x_label="k < k*", y_label="BF01 > 1 & rising",
+    )
+    for text in (*MARKUP[:4], "k < k*", "BF01 > 1 & rising"):
+        assert ">" + escape(text) + "<" in doc
+    texts = [t.text for t in ET.fromstring(doc).iter("{http://www.w3.org/2000/svg}text")]
+    assert {*MARKUP[:4], "k < k*", "BF01 > 1 & rising"} <= set(texts)
