@@ -26,6 +26,7 @@ _TINY = 1e-300
 # tan is finite in float64 at pi/2, so tail pieces can include the endpoint
 _THETA_HI = math.pi / 2.0
 _MIN_DEPTH = 5
+_MAX_DEPTH = 48
 
 
 def lambert_w0(x, rel_tol=1e-12, max_iter=64):
@@ -189,21 +190,21 @@ def _shifted_exp(e):
     return math.exp(e)
 
 
-def adaptive_simpson(g, a, b, eps, max_depth):
+def adaptive_simpson(g, a, b, eps):
     """Adaptive Simpson with Richardson acceptance on [a, b].
 
     Returns (value, error_estimate, converged); eps is the absolute
     error budget for the interval and halves on each split.  Every piece
     is split at least _MIN_DEPTH times before it may be accepted: on a
     coarse piece the two Simpson estimates can agree by chance while
-    both are wrong.
+    both are wrong.  No piece is split more than _MAX_DEPTH times.
     """
     fa = g(a)
     fb = g(b)
     m = 0.5 * (a + b)
     fm = g(m)
     whole = (b - a) * (fa + 4.0 * fm + fb) / 6.0
-    return _simpson_split(g, a, b, fa, fm, fb, whole, eps, max_depth, _MIN_DEPTH)
+    return _simpson_split(g, a, b, fa, fm, fb, whole, eps, _MAX_DEPTH, _MIN_DEPTH)
 
 
 def _simpson_split(g, a, b, fa, fm, fb, whole, eps, depth, min_depth):
@@ -237,13 +238,16 @@ def _spans(points):
     return spans
 
 
-def integrate_log(log_f, points, tail_scale, candidates, rel_tol, max_depth=48):
-    """Log of the integral of exp(log_f) over the real line.
+def integrate_log(log_f, points, tail_scale, candidates, rel_tol):
+    """Log of the integral of exp(log_f) over the real line; log_f is -inf
+    where the integrand vanishes.
 
     ``points`` isolate the integrand's features into their own pieces;
     ``candidates`` are extra abscissae (at or near the modes) included in
     the max-shift scan so the shifted exponent never overflows.  The
     coarse 33-node scan per piece doubles as the error-budget estimate.
+    Raises ArithmeticError when the scan meets log_f = +inf or the
+    refinement cannot reach rel_tol.
     """
     pts = sorted(set(points))
     spans = _spans(pts)
@@ -268,8 +272,10 @@ def integrate_log(log_f, points, tail_scale, candidates, rel_tol, max_depth=48):
         vm = max(vals)
         if vm > shift:
             shift = vm
-    if shift == -math.inf or math.isnan(shift):
+    if shift == -math.inf:
         return -math.inf
+    if shift == math.inf:
+        raise ArithmeticError("integrand is infinite on the scan grid")
 
     total_coarse = 0.0
     for (mode, a, b, edge), vals in zip(spans, node_vals):
@@ -286,7 +292,7 @@ def integrate_log(log_f, points, tail_scale, candidates, rel_tol, max_depth=48):
         def g(t, _m=mode, _e=edge):
             return _shifted_exp(log_g(_m, _e, t) - shift)
 
-        v, _, converged = adaptive_simpson(g, a, b, eps, max_depth)
+        v, _, converged = adaptive_simpson(g, a, b, eps)
         total += v
         ok = ok and converged
     if not ok:
@@ -296,60 +302,7 @@ def integrate_log(log_f, points, tail_scale, candidates, rel_tol, max_depth=48):
     return shift + math.log(total)
 
 
-def integrate_linear(f, points, tail_scale, candidates, rel_tol, max_depth=48):
-    """Integral of an arbitrary (possibly signed) callable over the real
-    line, same piece scheme as integrate_log; values are normalized by
-    the largest magnitude seen in the coarse scan instead of log-shifted.
-    """
-    pts = sorted(set(points))
-    spans = _spans(pts)
-
-    def g_raw(mode, edge, t):
-        if mode == 0:
-            return f(t)
-        mu = edge + mode * tail_scale * math.tan(t)
-        sec = 1.0 / math.cos(t)
-        return f(mu) * tail_scale * sec * sec
-
-    fmax = 0.0
-    for c in candidates:
-        fmax = max(fmax, abs(f(c)))
-    node_vals = []
-    for mode, a, b, edge in spans:
-        h = (b - a) / 32.0
-        vals = [g_raw(mode, edge, a + j * h) for j in range(33)]
-        node_vals.append(vals)
-        for v in vals:
-            fmax = max(fmax, abs(v))
-    if fmax == 0.0:
-        return 0.0
-    if math.isnan(fmax) or math.isinf(fmax):
-        raise ArithmeticError("integrand is not finite on the scan grid")
-
-    total_coarse = 0.0
-    for (mode, a, b, edge), vals in zip(spans, node_vals):
-        h = (b - a) / 32.0
-        acc = 0.5 * (vals[0] + vals[32])
-        for j in range(1, 32):
-            acc += vals[j]
-        total_coarse += acc * h / fmax
-    eps = rel_tol * max(abs(total_coarse), _TINY) / len(spans)
-
-    total = 0.0
-    ok = True
-    for mode, a, b, edge in spans:
-        def g(t, _m=mode, _e=edge):
-            return g_raw(_m, _e, t) / fmax
-
-        v, _, converged = adaptive_simpson(g, a, b, eps, max_depth)
-        total += v
-        ok = ok and converged
-    if not ok:
-        raise ArithmeticError("adaptive quadrature did not reach the requested tolerance")
-    return fmax * total
-
-
-def marginal_loglik(z, n, kind, scale, rel_tol, max_depth=48):
+def marginal_loglik(z, n, kind, scale, rel_tol):
     """Log marginal likelihood of the data under a scale prior on the mean:
     log of the integral over mu of N(z; sqrt(n)*mu, 1) * prior(mu; scale).
 
@@ -374,4 +327,4 @@ def marginal_loglik(z, n, kind, scale, rel_tol, max_depth=48):
     )
     k_eff = n * scale * scale
     candidates = (0.0, xbar, xbar * k_eff / (1.0 + k_eff))
-    return integrate_log(log_f, points, max(scale, sig), candidates, rel_tol, max_depth)
+    return integrate_log(log_f, points, max(scale, sig), candidates, rel_tol)

@@ -132,8 +132,8 @@ def log_bf01(z: float, k: float) -> float:
 
     Equals 0 at k = 0 for every z and is finite for all finite inputs.
     """
-    if k < 0.0:
-        raise DomainError(f"k must be nonnegative, got {k}")
+    if not 0.0 <= k < math.inf:
+        raise DomainError(f"k must be nonnegative and finite, got {k}")
     return 0.5 * math.log1p(k) - z * z * k / (2.0 * (1.0 + k))
 
 

@@ -69,11 +69,9 @@ def _log_bf01_voigt(z: float, gamma: float) -> float:
     return -x * x - log_re_faddeeva(x, gamma / _SQRT2)
 
 
-def bf01_cauchy(setup: TestSetup, prior: CauchyPrior,
-                cfg: SolverConfig = DEFAULT_CONFIG) -> BayesFactorResult:
+def bf01_cauchy(setup: TestSetup, prior: CauchyPrior) -> BayesFactorResult:
     """Bayes factor in favour of the null under the Cauchy prior, from the
-    closed-form Voigt marginal.  ``cfg`` is accepted for compatibility and
-    has no effect: nothing here iterates to a tolerance."""
+    closed-form Voigt marginal."""
     gamma = math.sqrt(setup.n) * prior.r
     if gamma == math.inf:
         raise DomainError(f"sqrt(n) * r overflows a float (n = {setup.n}, r = {prior.r})")

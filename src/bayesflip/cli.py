@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -107,6 +108,9 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunC
               if k not in ("command", "format", "out", "precision")}
     if args.precision < 0:
         parser.error("--precision must be nonnegative")
+    for key in ("z", "scale", "scale_min", "scale_max"):
+        if key in params and not math.isfinite(params[key]):
+            parser.error(f"--{key.replace('_', '-')} must be finite, got {params[key]}")
     if "n" in params and params["n"] is not None and params["n"] < 1:
         parser.error("--n must be >= 1")
     if "scale" in params and not params["scale"] > 0.0:

@@ -43,8 +43,9 @@ class FlipMethod(Enum):
 
 
 # Below this |z| the Lambert argument -z^2 exp(-z^2) sits so close to the
-# branch point -1/e that W0 loses precision; use the bracketed solve.
-_LAMBERT_SAFE_Z = 1.001
+# branch point -1/e that W0 loses precision (k* off by 1.7e-11 relative at
+# z = 1.001, 6e-14 at 1.01); use the bracketed solve.
+_LAMBERT_SAFE_Z = 1.01
 
 # |(1+k*) log(1+k*) - z^2 k*| must stay within this times z^2 * k*.
 _RESIDUAL_BOUND = 1e-9
@@ -82,26 +83,25 @@ class ReversalPair:
 
 def phi(k: float) -> float:
     """phi(k) = (1+k) log(1+k) / k: strictly increasing bijection from
-    (0, inf) onto (1, inf), with phi(0+) = 1."""
+    (0, inf) onto (1, inf), with phi(0+) = 1; finite for every finite k."""
     if not k > 0.0:
         raise DomainError(f"phi domain is k > 0, got {k}")
-    return (1.0 + k) * math.log1p(k) / k
+    return (1.0 + k) * (math.log1p(k) / k)
 
 
 def phi_inverse(y: float, cfg: SolverConfig = DEFAULT_CONFIG) -> float:
     """The k > 0 with phi(k) = y, for y > 1.
 
-    phi(y - 1) = y log(y) / (y - 1) < y because log(y) < y - 1, so y - 1
-    always works as the lower bracket end; the upper end doubles until
-    phi exceeds y (phi is unbounded).
+    Raises DomainError where that k overflows a float, from y of about
+    709.78 on (phi of the largest float).
     """
     if not y > 1.0:
         raise DomainError(f"phi_inverse domain is y > 1, got {y}")
-    lo = y - 1.0
-    hi = max(2.0 * lo, 2.0)
-    while phi(hi) < y:
-        hi *= 2.0
-    return find_root(lambda k: phi(k) - y, Bracket(lo, hi), cfg)
+    k = _solve_phi(y - 1.0, cfg)
+    if k is None:
+        raise DomainError(f"phi_inverse(y) overflows a float for y above "
+                          f"{_LOG_MAX_FLOAT:.2f}; got y = {y}")
+    return k
 
 
 def _phi_minus_one(k: float) -> float:
@@ -112,6 +112,24 @@ def _phi_minus_one(k: float) -> float:
         return k * (1 / 2 - k * (1 / 6 - k * (1 / 12 - k * (1 / 20 - k * (
             1 / 30 - k * (1 / 42 - k * (1 / 56 - k / 72)))))))
     return (1.0 + k) / k * math.log1p(k) - 1.0
+
+
+def _solve_phi(c: float, cfg: SolverConfig) -> float | None:
+    """The k > 0 with phi(k) - 1 = c, for c > 0; None where k overflows.
+
+    Since log(1+k) < phi(k) < log(1+k) + 1, the root lies between the k
+    with log(1+k) = c and the k with log(1+k) = c + 1.5, a bracket known
+    before any evaluation.  The solve stops on a relative interval width
+    alone, which is safe because k > c > 0.
+    """
+    if c >= _LOG_MAX_FLOAT:
+        return None
+    lo = math.expm1(c)
+    hi = math.expm1(c + 1.5) if c + 1.5 < _LOG_MAX_FLOAT else _MAX_FLOAT
+    if not _phi_minus_one(hi) > c:
+        return None
+    return find_root(lambda k: _phi_minus_one(k) - c, Bracket(lo, hi),
+                     replace(cfg, abs_tol=0.0))
 
 
 def _no_finite_k_star(z: float) -> DomainError:
@@ -125,15 +143,13 @@ def flip_point(z: float, method: FlipMethod = FlipMethod.BRACKETED,
                cfg: SolverConfig = DEFAULT_CONFIG) -> FlipPointResult:
     """The unique k* > z^2 - 1 with BF01(z; k*) = 1; requires |z| > 1.
 
-    BRACKETED solves (phi(k) - 1) - (z^2 - 1) = 0, the flip equation
+    BRACKETED solves phi(k) - 1 = z^2 - 1, the flip equation
     (1+k) log(1+k) = z^2 k divided by k, with both sides formed so they stay
-    accurate as z -> 1.  Since log(1+k) < phi(k) < log(1+k) + 1, k* lies
-    between the k with log(1+k) = z^2 - 1 and the k with log(1+k) =
-    z^2 + 0.5, a bracket known before any evaluation.  The solve stops on a
-    relative interval width alone, which is safe because k* > z^2 - 1 > 0.
-    LAMBERT_W evaluates exp(W0(-z^2 e^{-z^2}) + z^2) - 1; the principal
-    branch picks out the nontrivial root (W-1 only recovers k = 0).  For
-    1 < |z| < 1.001 the bracketed route is used regardless of the requested
+    accurate as z -> 1 (the solve phi_inverse shares).  LAMBERT_W evaluates
+    exp(W0(-z^2 e^{-z^2}) + z^2) - 1; the principal branch picks out the
+    nontrivial root (W-1 only recovers k = 0).  For 1 < |z| < 1.01, where
+    the Lambert argument nears the branch point -1/e and the route misses
+    rel_tol 1e-12, the bracketed route is used regardless of the requested
     method.  Both routes raise DomainError where k* is not a finite float,
     |z| above about 26.64.
     """
@@ -153,14 +169,9 @@ def flip_point(z: float, method: FlipMethod = FlipMethod.BRACKETED,
         k_star = math.expm1(lambert_w0(-z2 * math.exp(-z2), cfg) + z2)
     else:
         used = FlipMethod.BRACKETED
-        if z2m1 >= _LOG_MAX_FLOAT:
+        k_star = _solve_phi(z2m1, cfg)
+        if k_star is None:
             raise _no_finite_k_star(z)
-        lo = math.expm1(z2m1)
-        hi = math.expm1(z2m1 + 1.5) if z2m1 + 1.5 < _LOG_MAX_FLOAT else _MAX_FLOAT
-        if not _phi_minus_one(hi) > z2m1:
-            raise _no_finite_k_star(z)
-        k_star = find_root(lambda k: _phi_minus_one(k) - z2m1, Bracket(lo, hi),
-                           replace(cfg, abs_tol=0.0))
     # (1+k) log(1+k) - z^2 k = k (phi(k) - z^2), formed so it cannot overflow
     gap = _phi_minus_one(k_star) - z2m1
     residual = k_star * gap

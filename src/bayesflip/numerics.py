@@ -37,7 +37,6 @@ _INV_E = math.exp(-1.0)
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.9189385332046727
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-_MAX_QUAD_DEPTH = 48
 
 
 @dataclass(frozen=True)
@@ -195,9 +194,7 @@ def marginal_log_integral(f: MarginalIntegrand,
     """log of integrate_real_line(f) for a MarginalIntegrand, computed
     fully in log space by adaptive quadrature."""
     try:
-        return _pure.marginal_loglik(
-            f.z, float(f.n), f.kind, f.scale, cfg.rel_tol, _MAX_QUAD_DEPTH
-        )
+        return _pure.marginal_loglik(f.z, float(f.n), f.kind, f.scale, cfg.rel_tol)
     except ArithmeticError as exc:
         raise ConvergenceError(str(exc)) from None
 
@@ -206,19 +203,21 @@ def integrate_real_line(f: Callable[[float], float],
                         cfg: SolverConfig = DEFAULT_CONFIG, *,
                         scale: float = 1.0,
                         breakpoints: tuple[float, ...] = ()) -> float:
-    """Integral of f over the whole real line, with estimated relative
-    error at most cfg.rel_tol.
+    """Integral of a nonnegative f over the whole real line, with
+    estimated relative error at most cfg.rel_tol.
 
     MarginalIntegrand instances take the kernel fast path.  Arbitrary
-    callables take the generic route: the line is split at ``breakpoints``
-    plus {-8*scale, 0, 8*scale}, finite pieces go through adaptive
-    Simpson, and the two tails are mapped through
+    callables go through the same log-space quadrature as log f: the line
+    is split at ``breakpoints`` plus {-8*scale, 0, 8*scale}, finite pieces
+    go through adaptive Simpson, and the two tails are mapped through
     mu = edge +- scale * tan(theta), which keeps Cauchy-weight tails
     integrable where plain truncation fails.  ``scale`` should match the
-    width of the integrand's slowest-decaying factor.
+    width of the integrand's slowest-decaying factor.  Signed integrands
+    are not supported.
 
-    Raises ConvergenceError when the error estimate cannot reach rel_tol
-    within the subdivision budget.
+    Raises DomainError naming mu where f(mu) is negative or NaN, and
+    ConvergenceError when f is +inf on the scan grid or the error
+    estimate cannot reach rel_tol within the subdivision budget.
     """
     if isinstance(f, MarginalIntegrand):
         return math.exp(marginal_log_integral(f, cfg))
@@ -227,8 +226,17 @@ def integrate_real_line(f: Callable[[float], float],
     pts = {-8.0 * scale, 0.0, 8.0 * scale}
     pts.update(float(p) for p in breakpoints)
     points = sorted(pts)
+
+    def log_f(mu: float) -> float:
+        v = f(mu)
+        if v > 0.0:
+            return math.log(v)
+        if v == 0.0:
+            return -math.inf
+        raise DomainError(f"integrand must be nonnegative, got f({mu!r}) = {v!r}")
+
     try:
-        return _pure.integrate_linear(f, points, scale, points, cfg.rel_tol, _MAX_QUAD_DEPTH)
+        return math.exp(_pure.integrate_log(log_f, points, scale, points, cfg.rel_tol))
     except ArithmeticError as exc:
         raise ConvergenceError(str(exc)) from None
 

@@ -86,7 +86,10 @@ class FigureRow:
 
 
 def scale_grid(lo: float, hi: float, points: int, spacing: str = "linear") -> list[float]:
-    """Evenly spaced grid on [lo, hi], linear or logarithmic."""
+    """Evenly spaced grid on [lo, hi], linear or logarithmic; the bounds
+    must be finite."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"grid bounds must be finite, got [{lo}, {hi}]")
     if points < 2:
         raise DomainError(f"grid needs at least 2 points, got {points}")
     if not lo < hi:
@@ -103,8 +106,7 @@ def scale_grid(lo: float, hi: float, points: int, spacing: str = "linear") -> li
     return [lo + (hi - lo) * i / (points - 1) for i in range(points)]
 
 
-def sweep_rows(setup: TestSetup, prior_family: str, scales: list[float],
-               cfg: SolverConfig = DEFAULT_CONFIG) -> list[SweepRow]:
+def sweep_rows(setup: TestSetup, prior_family: str, scales: list[float]) -> list[SweepRow]:
     """One SweepRow per scale; normal priors use the closed form, Cauchy
     priors the closed-form Voigt marginal."""
     rows = []
@@ -113,7 +115,7 @@ def sweep_rows(setup: TestSetup, prior_family: str, scales: list[float],
             res = bf01(setup, NormalPrior(s))
             k = setup.n * s * s
         elif prior_family == "cauchy":
-            res = bf01_cauchy(setup, CauchyPrior(s), cfg)
+            res = bf01_cauchy(setup, CauchyPrior(s))
             k = None
         else:
             raise DomainError(f"unknown prior family {prior_family!r}")

@@ -229,3 +229,14 @@ class TestInputContract:
         assert res.bf01 == 0.0
         assert res.log_bf01 == pytest.approx(log_bf01(40.0, 50.0), rel=1e-15)
         assert res.direction is Direction.FAVOURS_H1
+
+
+@pytest.mark.parametrize("k", [math.inf, math.nan])
+def test_log_bf01_rejects_non_finite_k(k):
+    with pytest.raises(DomainError, match="k must be"):
+        log_bf01(2.0, k)
+
+
+def test_overflowing_prior_precision_names_k():
+    with pytest.raises(DomainError, match="k must be nonnegative and finite, got inf"):
+        bf01(TestSetup(n=50, z=2.0), NormalPrior(1e307))

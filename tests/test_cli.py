@@ -250,3 +250,31 @@ class TestDomainEdges:
         lines = cp.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), cp.stderr
         assert "z = 30.0" in lines[0]
+
+
+class TestNonFiniteFlags:
+    @pytest.mark.parametrize("args,flag", [
+        (("sweep", "--z", "2", "--n", "50", "--scale-min", "0.1", "--scale-max", "inf"),
+         "--scale-max"),
+        (("sweep", "--z", "2", "--n", "50", "--scale-min", "nan", "--scale-max", "3"),
+         "--scale-min"),
+        (("bf", "--z", "2", "--n", "50", "--scale", "inf"), "--scale"),
+        (("bf", "--z", "nan", "--n", "50", "--scale", "1"), "--z"),
+        (("flip", "--z=-inf"), "--z"),
+        (("paradox", "--z", "inf", "--n", "50"), "--z"),
+        (("sweep", "--z", "nan", "--n", "50", "--scale-min", "0.1", "--scale-max", "3"),
+         "--z"),
+    ])
+    def test_usage_error_names_the_flag(self, args, flag):
+        cp = run_cli(*args)
+        assert cp.returncode == 2, cp.stderr
+        assert f"{flag} must be finite" in cp.stderr
+
+    def test_overflowing_k_names_k(self):
+        # a finite flag value whose n tau^2 overflows: a domain error, not NaN
+        cp = run_cli("sweep", "--z", "2", "--n", "50", "--scale-min", "0.1",
+                     "--scale-max", "1e308")
+        assert cp.returncode == 1
+        lines = cp.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: k must be"), cp.stderr
+        assert "nan" not in lines[0]

@@ -2,6 +2,8 @@
 to k*, critical prior scales, and reversal-pair construction."""
 
 import math
+import re
+import sys
 
 import mpmath
 import numpy as np
@@ -238,3 +240,58 @@ class TestFlipPointDomainEdges:
     def test_overflowing_k_star_is_domain_error(self, z, method):
         with pytest.raises(DomainError, match=f"z = {z}"):
             flip_point(z, method)
+
+
+def mp_phi_inverse(y):
+    """The k with phi(k) = y at 50 digits, solved in u = log(1 + k) from the
+    float y, independently of the package's bracket and series."""
+    with mpmath.workdps(50):
+        y = mpmath.mpf(y)
+        u = mpmath.findroot(lambda u: u * mpmath.exp(u) / mpmath.expm1(u) - y,
+                            (y - 1, y + mpmath.mpf("0.5")), solver="anderson")
+        return mpmath.expm1(u)
+
+
+class TestPhiOverItsWholeDomain:
+    def test_phi_matches_mpmath(self):
+        for k in np.logspace(-300, 308, 200):
+            k = float(k)
+            with mpmath.workdps(50):
+                ref = (1 + mpmath.mpf(k)) * mpmath.log1p(k) / k
+            assert abs(phi(k) / ref - 1) <= 1e-12, k
+
+    def test_phi_finite_up_to_the_largest_float(self):
+        assert phi(1e306) == pytest.approx(704.591038456178, rel=1e-12)
+        assert phi(sys.float_info.max) == pytest.approx(math.log(sys.float_info.max),
+                                                        rel=1e-12)
+
+    def test_phi_inverse_matches_mpmath(self):
+        # y - 1 log-spaced over (1e-9, 708.5]: y up to 709.5
+        for d in np.logspace(-9, math.log10(708.5), 61)[1:]:
+            y = 1.0 + float(d)
+            assert abs(phi_inverse(y) / mp_phi_inverse(y) - 1) <= 1e-12, y
+
+    def test_phi_inverse_of_709(self):
+        # the old doubling bracket returned 2.556e305 here, where phi is 704
+        k = phi_inverse(709.0)
+        assert abs(k / mp_phi_inverse(709.0) - 1) <= 1e-12
+        assert phi(k) == pytest.approx(709.0, rel=1e-14)
+
+    @pytest.mark.parametrize("y", [710.0, 800.0, 1e308, math.inf])
+    def test_phi_inverse_overflow_is_domain_error(self, y):
+        with pytest.raises(DomainError, match=re.escape(f"y = {y}")):
+            phi_inverse(y)
+
+
+class TestLambertRouteNearOne:
+    def test_accuracy_from_its_threshold(self):
+        for z in np.linspace(1.01, 1.05, 20):
+            fp = flip_point(float(z), FlipMethod.LAMBERT_W)
+            assert fp.method is FlipMethod.LAMBERT_W
+            assert abs(fp.k_star / mp_k_star(float(z)) - 1) <= 1e-12, z
+
+    @pytest.mark.parametrize("z", [1.001, 1.005, 1.0099, -1.005])
+    def test_bracketed_below_its_threshold(self, z):
+        fp = flip_point(z, FlipMethod.LAMBERT_W)
+        assert fp.method is FlipMethod.BRACKETED
+        assert abs(fp.k_star / mp_k_star(z) - 1) <= 1e-12

@@ -195,3 +195,26 @@ class TestStdNormal:
         vals = [std_normal_cdf(float(x)) for x in grid]
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert all(0.0 < v < 1.0 for v in vals)
+
+
+class TestIntegrateRealLineContract:
+    """Arbitrary callables go through the log-space driver as log f, so
+    the integrand must be nonnegative."""
+
+    @pytest.mark.parametrize("bad", [-1e-3, math.nan])
+    def test_negative_or_nan_value_is_domain_error(self, bad):
+        f = lambda x: bad if x == 0.0 else std_normal_pdf(x)
+        with pytest.raises(DomainError, match=r"f\(0\.0\)"):
+            integrate_real_line(f)
+
+    def test_signed_integrand_is_domain_error(self):
+        with pytest.raises(DomainError, match="nonnegative"):
+            integrate_real_line(lambda x: x * std_normal_pdf(x))
+
+    def test_infinite_value_is_convergence_error(self):
+        f = lambda x: math.inf if x == 0.0 else std_normal_pdf(x)
+        with pytest.raises(ConvergenceError):
+            integrate_real_line(f)
+
+    def test_zero_integrand(self):
+        assert integrate_real_line(lambda x: 0.0) == 0.0

@@ -163,3 +163,11 @@ class TestSvgEmitter:
     def test_nothing_to_plot_raises(self):
         with pytest.raises(ValueError):
             line_chart([Series("empty", (), ())])
+
+
+@pytest.mark.parametrize("lo,hi", [(0.1, math.inf), (math.nan, 3.0), (-math.inf, 1.0),
+                                   (0.1, math.nan)])
+@pytest.mark.parametrize("spacing", ["linear", "log"])
+def test_scale_grid_rejects_non_finite_bounds(lo, hi, spacing):
+    with pytest.raises(DomainError, match="finite"):
+        scale_grid(lo, hi, 10, spacing)

@@ -46,6 +46,28 @@ def test_import_cli_loads_nothing_heavy():
     assert heavy_in(mods) == set()
 
 
+def package_modules() -> list[str]:
+    """Every module of the package, the lazily imported ones included
+    (``__main__`` would run the CLI)."""
+    src = REPO / "src"
+    names = []
+    for path in sorted((src / "bayesflip").rglob("*.py")):
+        parts = path.relative_to(src).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        if parts[-1] != "__main__":
+            names.append(".".join(parts))
+    return names
+
+
+def test_runtime_is_stdlib_only():
+    """A stray numpy, scipy or mpmath import under src/ shows up here."""
+    modules = package_modules()
+    assert {"bayesflip", "bayesflip.cli", "bayesflip.svg"} <= set(modules)
+    tops = {m.partition(".")[0] for m in loaded_by(f"import {', '.join(modules)}")}
+    assert tops - set(sys.stdlib_module_names) - {"bayesflip"} == set()
+
+
 def test_bf_command_loads_nothing_heavy():
     mods = loaded_by('from bayesflip.cli import main\n'
                      'main(["bf", "--z", "2", "--n", "50", "--scale", "0.8", "--format", "json"])')
