@@ -8,73 +8,48 @@ the prior scale.
 
 The numerical kernels are pure Python; ``bayesflip.KERNEL_BACKEND`` is
 always ``"pure"``.
-"""
 
-from .bayes_factor import (
-    BayesFactorResult,
-    Direction,
-    NormalPrior,
-    TestSetup,
-    bf01,
-    bf_argmin_k,
-    dlogbf_dk,
-    log_bf01,
-    posterior_prob_h0,
-    two_sided_p,
-)
-from .cauchy import CauchyPrior, bf01_cauchy, bf01_normal_via_quadrature, cauchy_flip_scale
-from .errors import (
-    BayesFlipError,
-    ConvergenceError,
-    DomainError,
-    MaxIterExceeded,
-    NoFlipPoint,
-    NoSignChange,
-    NotAReversal,
-)
-from .flip import (
-    FlipMethod,
-    FlipPointResult,
-    ReversalPair,
-    flip_point,
-    phi,
-    phi_inverse,
-    reversal_pair,
-    tau_star,
-    validate_pair,
-)
-from .numerics import (
-    DEFAULT_CONFIG,
-    Bracket,
-    MarginalIntegrand,
-    SolverConfig,
-    find_root,
-    integrate_real_line,
-    lambert_w0,
-    marginal_log_integral,
-    std_normal_cdf,
-    std_normal_pdf,
-)
+The public names below, and the submodules, are imported on first access
+(PEP 562), so ``import bayesflip`` loads nothing else and a command-line
+run compiles only the modules it uses.
+"""
 
 KERNEL_BACKEND = "pure"
 __version__ = "0.1.0"
 
-__all__ = [
-    "KERNEL_BACKEND",
-    "__version__",
-    # bayes_factor
-    "BayesFactorResult", "Direction", "NormalPrior", "TestSetup", "bf01",
-    "bf_argmin_k", "dlogbf_dk", "log_bf01", "posterior_prob_h0", "two_sided_p",
-    # cauchy
-    "CauchyPrior", "bf01_cauchy", "bf01_normal_via_quadrature", "cauchy_flip_scale",
-    # errors
-    "BayesFlipError", "ConvergenceError", "DomainError", "MaxIterExceeded",
-    "NoFlipPoint", "NoSignChange", "NotAReversal",
-    # flip
-    "FlipMethod", "FlipPointResult", "ReversalPair", "flip_point", "phi",
-    "phi_inverse", "reversal_pair", "tau_star", "validate_pair",
-    # numerics
-    "DEFAULT_CONFIG", "Bracket", "MarginalIntegrand", "SolverConfig",
-    "find_root", "integrate_real_line", "lambert_w0", "marginal_log_integral",
-    "std_normal_cdf", "std_normal_pdf",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "bayes_factor": ("BayesFactorResult", "Direction", "NormalPrior", "TestSetup", "bf01",
+                     "bf_argmin_k", "dlogbf_dk", "log_bf01", "posterior_prob_h0",
+                     "two_sided_p"),
+    "cauchy": ("CauchyPrior", "bf01_cauchy", "bf01_normal_via_quadrature",
+               "cauchy_flip_scale"),
+    "errors": ("BayesFlipError", "ConvergenceError", "DomainError", "MaxIterExceeded",
+               "NoFlipPoint", "NoSignChange", "NotAReversal"),
+    "flip": ("FlipMethod", "FlipPointResult", "ReversalPair", "flip_point", "phi",
+             "phi_inverse", "reversal_pair", "tau_star", "validate_pair"),
+    "numerics": ("DEFAULT_CONFIG", "Bracket", "MarginalIntegrand", "SolverConfig",
+                 "find_root", "integrate_real_line", "lambert_w0", "marginal_log_integral",
+                 "std_normal_cdf", "std_normal_pdf"),
+}
+_SUBMODULES = ("bayes_factor", "cauchy", "cli", "errors", "flip", "numerics", "report", "svg")
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["KERNEL_BACKEND", "__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME, *_SUBMODULES})

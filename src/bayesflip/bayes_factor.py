@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import record
 from .errors import DomainError
 
 __all__ = [
@@ -59,26 +59,23 @@ class Direction(Enum):
     FAVOURS_H0 = "favours_h0"
 
 
-@dataclass(frozen=True)
-class TestSetup:
+class TestSetup(record("TestSetup", "n z sigma")):
     """Data summary: sample size n and z-statistic z = sqrt(n) * xbar.
 
     The model fixes the known standard deviation at exactly 1; other
     values are rejected rather than silently rescaled.
     """
 
+    __slots__ = ()
     __test__ = False  # bare data, despite the Test* name pytest looks for
 
-    n: int
-    z: float
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        _check_sample_size(self.n)
-        if not math.isfinite(self.z):
-            raise DomainError(f"z-statistic must be finite, got {self.z}")
-        if self.sigma != 1.0:
-            raise DomainError(f"the model fixes sigma = 1, got {self.sigma}")
+    def __new__(cls, n: int, z: float, sigma: float = 1.0):
+        _check_sample_size(n)
+        if not math.isfinite(z):
+            raise DomainError(f"z-statistic must be finite, got {z}")
+        if sigma != 1.0:
+            raise DomainError(f"the model fixes sigma = 1, got {sigma}")
+        return super().__new__(cls, n, z, sigma)
 
     @property
     def xbar(self) -> float:
@@ -90,28 +87,25 @@ class TestSetup:
         return cls(n=n, z=math.sqrt(n) * xbar)
 
 
-@dataclass(frozen=True)
-class NormalPrior:
+class NormalPrior(record("NormalPrior", "tau")):
     """Zero-centred normal prior on the mean under H1, standard deviation tau."""
 
-    tau: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.tau < math.inf:
-            raise DomainError(f"tau must be positive and finite, got {self.tau}")
+    def __new__(cls, tau: float):
+        if not 0.0 < tau < math.inf:
+            raise DomainError(f"tau must be positive and finite, got {tau}")
+        return super().__new__(cls, tau)
 
     def k(self, setup: TestSetup) -> float:
         """Derived prior precision relative to the data: n * tau^2."""
         return setup.n * self.tau * self.tau
 
 
-@dataclass(frozen=True)
-class BayesFactorResult:
+class BayesFactorResult(record("BayesFactorResult", "bf01 log_bf01 direction")):
     """BF01 with its natural log and the direction of evidence."""
 
-    bf01: float
-    log_bf01: float
-    direction: Direction
+    __slots__ = ()
 
     @classmethod
     def from_log(cls, log_bf: float) -> "BayesFactorResult":
@@ -124,7 +118,7 @@ class BayesFactorResult:
             direction = Direction.FAVOURS_H0
         else:  # only nan fails all three comparisons
             raise DomainError("log BF01 is nan")
-        return cls(bf01=math.exp(log_bf), log_bf01=log_bf, direction=direction)
+        return cls(math.exp(log_bf), log_bf, direction)
 
 
 def log_bf01(z: float, k: float) -> float:

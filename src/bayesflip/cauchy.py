@@ -23,9 +23,9 @@ prior against this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._kernels.pure import log_re_faddeeva
+from ._record import record
 from .bayes_factor import BayesFactorResult, NormalPrior, TestSetup
 from .errors import ConvergenceError, DomainError, NoFlipPoint
 from .numerics import (
@@ -53,15 +53,15 @@ _LOG_GAMMA_ASYMPTOTIC = math.log(1e10)
 _MAX_BRACKET_STEPS = 64
 
 
-@dataclass(frozen=True)
-class CauchyPrior:
+class CauchyPrior(record("CauchyPrior", "r")):
     """Zero-centred Cauchy prior on the mean with scale r."""
 
-    r: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.r < math.inf:
-            raise DomainError(f"Cauchy scale must be positive and finite, got {self.r}")
+    def __new__(cls, r: float):
+        if not 0.0 < r < math.inf:
+            raise DomainError(f"Cauchy scale must be positive and finite, got {r}")
+        return super().__new__(cls, r)
 
 
 def _log_bf01_voigt(z: float, gamma: float) -> float:

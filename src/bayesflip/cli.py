@@ -3,28 +3,26 @@
 Subcommands: bf, flip, sweep, table1, figure1, paradox.  Human-readable
 text goes to stdout by default; --format csv|json|svg switches to
 machine output carrying full float precision, written to --out when
-given.  Exit codes: 0 success, 1 computation/domain error, 2 usage
-error.
+given.  Exit codes: 0 success, 1 computation/domain error or an output
+file that cannot be written, 2 usage error.
 
-Every invocation is a fresh process, so ``report`` and ``svg`` are
-imported inside the handlers and renderers that use them: a command
-loads only the modules it runs.
+Every invocation is a fresh process, so ``cauchy``, ``flip``, ``report``,
+``svg`` and ``json`` are imported inside the handlers and renderers that
+use them, and the package modules are called as module attributes (which
+a tracer patching module namespaces still sees): a command loads only
+the modules it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
+import os
 import sys
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Any
 
+from ._record import record
 from .bayes_factor import Direction, NormalPrior, TestSetup, bf01, posterior_prob_h0
-from .cauchy import CauchyPrior, bf01_cauchy
 from .errors import BayesFlipError
-from .flip import FlipMethod, flip_point, reversal_pair, tau_star
 
 _DIRECTION_TEXT = {
     Direction.FAVOURS_H1: "favours H1",
@@ -33,15 +31,17 @@ _DIRECTION_TEXT = {
 }
 
 
-@dataclass
-class RunConfig:
-    """Validated invocation: the subcommand plus its scalar parameters."""
+class RunConfig(record("RunConfig",
+                       "command parameters output_format output_path precision")):
+    """Validated invocation: the subcommand, a dict of its scalar
+    parameters, the machine output format (None for human-readable text),
+    the output path (None for stdout) and the human precision."""
 
-    command: str
-    parameters: dict[str, Any]
-    output_format: str | None  # None = human-readable text
-    output_path: str | None
-    precision: int
+    __slots__ = ()
+
+
+class _OutputError(BayesFlipError):
+    """An output file could not be written."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,7 +134,7 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunC
                      precision=args.precision)
 
 
-def _mfloat(v: Any) -> str:
+def _mfloat(v: object) -> str:
     """Full-precision cell for machine output (repr round-trips floats)."""
     if v is None:
         return ""
@@ -151,7 +151,7 @@ def _csv(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _jsonable(v: Any) -> Any:
+def _jsonable(v: object) -> object:
     return v.value if isinstance(v, Direction) else v
 
 
@@ -169,7 +169,9 @@ def _cmd_bf(run: RunConfig) -> dict:
         res = bf01(setup, prior)
         k = prior.k(setup)
     else:
-        res = bf01_cauchy(setup, CauchyPrior(p["scale"]))
+        from . import cauchy
+
+        res = cauchy.bf01_cauchy(setup, cauchy.CauchyPrior(p["scale"]))
         k = None
     # BF01 underflows to 0.0 below log BF01 ~ -745 (|z| >~ 39), where the
     # posterior of H0, below the smallest float, correctly rounds to 0.0
@@ -194,21 +196,24 @@ def _cmd_bf(run: RunConfig) -> dict:
 
 
 def _cmd_flip(run: RunConfig) -> dict:
+    from . import flip
+
     p = run.parameters
     methods = {
-        "bracketed": (FlipMethod.BRACKETED,),
-        "lambert_w": (FlipMethod.LAMBERT_W,),
-        "both": (FlipMethod.BRACKETED, FlipMethod.LAMBERT_W),
+        "bracketed": (flip.FlipMethod.BRACKETED,),
+        "lambert_w": (flip.FlipMethod.LAMBERT_W,),
+        "both": (flip.FlipMethod.BRACKETED, flip.FlipMethod.LAMBERT_W),
     }[p["method"]]
-    results = [flip_point(p["z"], m) for m in methods]
+    results = [flip.flip_point(p["z"], m) for m in methods]
     n = p["n"]
     header = ["z", "method", "k_star", "residual", "tau_star"]
     rows = [[r.z, r.method.value, r.k_star, r.residual,
-             tau_star(r.k_star, n) if n is not None else None] for r in results]
+             flip.tau_star(r.k_star, n) if n is not None else None] for r in results]
     d = run.precision
     lines = [f"z            {p['z']:.{d}f}"]
     for r in results:
-        ts = f"   tau*(n={n}) = {tau_star(r.k_star, n):.{d}f}" if n is not None else ""
+        ts = (f"   tau*(n={n}) = {flip.tau_star(r.k_star, n):.{d}f}"
+              if n is not None else "")
         lines.append(f"k* ({r.method.value:9s}) = {r.k_star:.{d}f}   "
                      f"residual = {r.residual:.2e}{ts}")
     if len(results) == 2:
@@ -334,11 +339,13 @@ def _cmd_figure1(run: RunConfig) -> dict:
 
 
 def _cmd_paradox(run: RunConfig) -> dict:
+    from . import flip
+
     p = run.parameters
     setup = TestSetup(n=p["n"], z=p["z"])
-    fp = flip_point(setup.z)
-    ts = tau_star(fp.k_star, setup.n)
-    pair = reversal_pair(setup, p["spread"])
+    fp = flip.flip_point(setup.z)
+    ts = flip.tau_star(fp.k_star, setup.n)
+    pair = flip.reversal_pair(setup, p["spread"])
     post1 = posterior_prob_h0(pair.bf1)
     post2 = posterior_prob_h0(pair.bf2)
     d = run.precision
@@ -373,16 +380,24 @@ _HANDLERS = {
 # --- output ---------------------------------------------------------------
 
 def _write(text: str, out: str | None) -> None:
+    """Write text to stdout, or to the file out (_OutputError if it fails)."""
     if out is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        Path(out).write_text(text)
+        return
+    try:
+        with open(out, "w") as f:
+            f.write(text)
+    except OSError as exc:
+        raise _OutputError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _suffixed(out: str, tag: str, ext: str) -> str:
-    path = Path(out)
-    stem = path.stem if path.suffix else path.name
-    return str(path.with_name(f"{stem}_{tag}{ext}"))
+    """out with its extension, if it has one, replaced by _tag + ext:
+    fig.csv and fig both give fig_panel_a.csv."""
+    head, name = os.path.split(os.path.normpath(out))
+    dot = name.rfind(".")
+    stem = name[:dot] if 0 < dot < len(name) - 1 else name
+    return os.path.join(head, f"{stem}_{tag}{ext}")
 
 
 def _emit(run: RunConfig, payload: dict) -> None:
@@ -391,6 +406,8 @@ def _emit(run: RunConfig, payload: dict) -> None:
         print(payload["human"])
         return
     if fmt == "json":
+        import json
+
         _write(json.dumps(payload["json"], indent=2), run.output_path)
         return
     if fmt == "csv":
@@ -400,7 +417,7 @@ def _emit(run: RunConfig, payload: dict) -> None:
                 _write("\n".join(blocks), None)
             else:
                 for tag, h, rows in payload["multi"]:
-                    Path(_suffixed(run.output_path, tag, ".csv")).write_text(_csv(h, rows))
+                    _write(_csv(h, rows), _suffixed(run.output_path, tag, ".csv"))
             return
         _write(_csv(payload["header"], payload["rows"]), run.output_path)
         return
@@ -408,7 +425,7 @@ def _emit(run: RunConfig, payload: dict) -> None:
         if "svg_multi" in payload:
             # --out is guaranteed by validation
             for tag, render in payload["svg_multi"]:
-                Path(_suffixed(run.output_path, tag, ".svg")).write_text(render())
+                _write(render(), _suffixed(run.output_path, tag, ".svg"))
             return
         _write(payload["svg"](), run.output_path)
         return
@@ -420,11 +437,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     run = _validate(parser, args)
     try:
-        payload = _HANDLERS[run.command](run)
+        _emit(run, _HANDLERS[run.command](run))
     except BayesFlipError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(run, payload)
     return 0
 
 

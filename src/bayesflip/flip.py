@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
 from enum import Enum
 
+from ._record import record
 from .bayes_factor import Direction, NormalPrior, TestSetup, bf01
 from .errors import ConvergenceError, DomainError, NoFlipPoint, NotAReversal
 from .numerics import DEFAULT_CONFIG, Bracket, SolverConfig, find_root, lambert_w0
@@ -58,27 +58,18 @@ _LOG_MAX_FLOAT = math.log(_MAX_FLOAT)
 _PHI_SERIES_K = 0.01
 
 
-@dataclass(frozen=True)
-class FlipPointResult:
+class FlipPointResult(record("FlipPointResult", "k_star residual method z")):
     """Flip point k* with the residual of its characterizing equation and
     the method that produced it."""
 
-    k_star: float
-    residual: float
-    method: FlipMethod
-    z: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ReversalPair:
+class ReversalPair(record("ReversalPair", "tau1 tau2 tau_star bf1 bf2")):
     """Two prior scales bracketing tau* whose Bayes factors point in
     opposite directions on the same data."""
 
-    tau1: float
-    tau2: float
-    tau_star: float
-    bf1: float
-    bf2: float
+    __slots__ = ()
 
 
 def phi(k: float) -> float:
@@ -129,7 +120,7 @@ def _solve_phi(c: float, cfg: SolverConfig) -> float | None:
     if not _phi_minus_one(hi) > c:
         return None
     return find_root(lambda k: _phi_minus_one(k) - c, Bracket(lo, hi),
-                     replace(cfg, abs_tol=0.0))
+                     cfg._replace(abs_tol=0.0))
 
 
 def _no_finite_k_star(z: float) -> DomainError:

@@ -12,10 +12,10 @@ call from multiple threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from ._kernels import pure as _pure
+from ._record import record
 from .bayes_factor import _check_sample_size
 from .errors import ConvergenceError, DomainError, MaxIterExceeded, NoSignChange
 
@@ -39,38 +39,35 @@ _LOG_SQRT_2PI = 0.9189385332046727
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(record("Bracket", "lo hi")):
     """Solve interval [lo, hi].  The sign condition on the target
     function is checked at solve time, not here."""
 
-    lo: float
-    hi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise DomainError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
+    def __new__(cls, lo: float, hi: float):
+        if not lo < hi:
+            raise DomainError(f"bracket requires lo < hi, got [{lo}, {hi}]")
+        return super().__new__(cls, lo, hi)
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(record("SolverConfig", "rel_tol abs_tol max_iter")):
     """Tolerances shared by the solvers and the quadrature.
 
     rel_tol is dimensionless; abs_tol is an absolute floor for interval
     widths near zero; max_iter bounds root-finder iterations.
     """
 
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-14
-    max_iter: int = 200
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.abs_tol < 0.0:
-            raise DomainError(f"abs_tol must be nonnegative, got {self.abs_tol}")
-        if self.max_iter < 1:
-            raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
+    def __new__(cls, rel_tol: float = 1e-12, abs_tol: float = 1e-14, max_iter: int = 200):
+        if not rel_tol > 0.0:
+            raise DomainError(f"rel_tol must be positive, got {rel_tol}")
+        if abs_tol < 0.0:
+            raise DomainError(f"abs_tol must be nonnegative, got {abs_tol}")
+        if max_iter < 1:
+            raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+        return super().__new__(cls, rel_tol, abs_tol, max_iter)
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -156,10 +153,10 @@ def lambert_w0(x: float, cfg: SolverConfig = DEFAULT_CONFIG) -> float:
         raise MaxIterExceeded(str(exc)) from None
 
 
-@dataclass(frozen=True)
-class MarginalIntegrand:
+class MarginalIntegrand(record("MarginalIntegrand", "z n prior_family scale")):
     """The H1 marginal-likelihood integrand
-    mu -> N(z; sqrt(n)*mu, 1) * prior(mu; 0, scale).
+    mu -> N(z; sqrt(n)*mu, 1) * prior(mu; 0, scale), with prior_family
+    "normal" or "cauchy".
 
     It is an ordinary callable, but carries enough structure that
     integrate_real_line can route it to the log-space quadrature kernel
@@ -167,17 +164,15 @@ class MarginalIntegrand:
     prior body.
     """
 
-    z: float
-    n: int
-    prior_family: str  # "normal" or "cauchy"
-    scale: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.prior_family not in ("normal", "cauchy"):
-            raise DomainError(f"unknown prior family {self.prior_family!r}")
-        _check_sample_size(self.n)
-        if not self.scale > 0.0:
-            raise DomainError(f"prior scale must be positive, got {self.scale}")
+    def __new__(cls, z: float, n: int, prior_family: str, scale: float):
+        if prior_family not in ("normal", "cauchy"):
+            raise DomainError(f"unknown prior family {prior_family!r}")
+        _check_sample_size(n)
+        if not scale > 0.0:
+            raise DomainError(f"prior scale must be positive, got {scale}")
+        return super().__new__(cls, z, n, prior_family, scale)
 
     @property
     def kind(self) -> int:

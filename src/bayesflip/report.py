@@ -4,8 +4,8 @@ flip-point reference table, and the two panels of the reversal figure."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .bayes_factor import (
     BayesFactorResult,
     Direction,
@@ -15,7 +15,6 @@ from .bayes_factor import (
     log_bf01,
     two_sided_p,
 )
-from .cauchy import CauchyPrior, bf01_cauchy
 from .errors import DomainError
 from .flip import FlipMethod, flip_point, tau_star
 from .numerics import DEFAULT_CONFIG, SolverConfig
@@ -49,40 +48,24 @@ FIGURE_B_MARKER_TAUS = (0.8, 1.5)
 _FIGURE_B_SETUP = TestSetup(n=50, z=2.0)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(record("SweepRow", "kind scale k bf01 log_bf01 direction")):
     """One (scale, BF01) record of a sensitivity sweep; k = n*tau^2 is
     None for Cauchy sweeps, and kind tags annotation rows."""
 
-    kind: str
-    scale: float
-    k: float | None
-    bf01: float
-    log_bf01: float
-    direction: Direction
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TableOneRow:
-    z: float
-    z_squared: float
-    p_value: float
-    k_star: float
-    tau_star_n50: float
-    tau_star_n100: float
+class TableOneRow(record("TableOneRow",
+                         "z z_squared p_value k_star tau_star_n50 tau_star_n100")):
+    """One row of the flip-point reference table."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FigureRow:
+class FigureRow(record("FigureRow", "panel z x bf01 log_bf01 direction kind")):
     """One figure sample: x is k in panel a, tau in panel b."""
 
-    panel: str
-    z: float
-    x: float
-    bf01: float
-    log_bf01: float
-    direction: Direction
-    kind: str
+    __slots__ = ()
 
 
 def scale_grid(lo: float, hi: float, points: int, spacing: str = "linear") -> list[float]:
@@ -103,12 +86,18 @@ def scale_grid(lo: float, hi: float, points: int, spacing: str = "linear") -> li
         return grid
     if spacing != "linear":
         raise DomainError(f"unknown spacing {spacing!r}")
-    return [lo + (hi - lo) * i / (points - 1) for i in range(points)]
+    n = points - 1
+    if math.isfinite((hi - lo) * n):
+        return [lo + (hi - lo) * i / n for i in range(points)]
+    # (hi - lo) * i overflows: weight the bounds, which stays finite
+    return [lo * ((n - i) / n) + hi * (i / n) for i in range(points)]
 
 
 def sweep_rows(setup: TestSetup, prior_family: str, scales: list[float]) -> list[SweepRow]:
     """One SweepRow per scale; normal priors use the closed form, Cauchy
     priors the closed-form Voigt marginal."""
+    if prior_family == "cauchy":  # the only report that needs cauchy
+        from .cauchy import CauchyPrior, bf01_cauchy
     rows = []
     for s in scales:
         if prior_family == "normal":

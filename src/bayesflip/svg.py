@@ -8,7 +8,8 @@ lines.  Pure string assembly, no plotting dependency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._record import record
 
 __all__ = ["Series", "Marker", "line_chart", "PALETTE"]
 
@@ -23,20 +24,16 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-@dataclass(frozen=True)
-class Series:
-    label: str
-    xs: tuple[float, ...]
-    ys: tuple[float, ...]
-    color: str = PALETTE[0]
+class Series(record("Series", "label xs ys color", defaults=(PALETTE[0],))):
+    """One polyline: a legend label, x and y coordinate tuples, a colour."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Marker:
-    x: float
-    y: float
-    label: str = ""
-    color: str = "#d62728"
+class Marker(record("Marker", "x y label color", defaults=("", "#d62728"))):
+    """One circle marker at (x, y), labelled when label is not empty."""
+
+    __slots__ = ()
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:

@@ -278,3 +278,54 @@ class TestNonFiniteFlags:
         lines = cp.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: k must be"), cp.stderr
         assert "nan" not in lines[0]
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("args,out,target", [
+        (("bf", "--z", "2", "--n", "50", "--scale", "1", "--format", "json"),
+         "x.json", "x.json"),
+        (("figure1", "--points-a", "8", "--points-b", "8", "--format", "csv"),
+         "fig", "fig_panel_a.csv"),
+        (("figure1", "--points-a", "8", "--points-b", "8", "--format", "svg"),
+         "fig", "fig_panel_a.svg"),
+        (("sweep", "--z", "2", "--n", "50", "--scale-min", "0.1", "--scale-max", "3",
+          "--format", "svg"), "x.svg", "x.svg"),
+    ])
+    def test_missing_directory_is_exit_one_without_traceback(self, tmp_path, args, out,
+                                                             target):
+        missing = tmp_path / "missing"
+        cp = run_cli(*args, "--out", str(missing / out))
+        assert cp.returncode == 1
+        lines = cp.stderr.strip().splitlines()
+        assert len(lines) == 1, cp.stderr
+        assert lines[0] == f"error: cannot write {missing / target}: No such file or directory"
+        assert not missing.exists()
+
+    def test_directory_as_out_path(self, tmp_path):
+        cp = run_cli("table1", "--format", "csv", "--out", str(tmp_path))
+        assert cp.returncode == 1
+        assert cp.stderr.startswith(f"error: cannot write {tmp_path}: ")
+        assert "Traceback" not in cp.stderr
+
+
+class TestHugeScaleBounds:
+    def test_cauchy_sweep_to_1e308(self):
+        cp = run_cli("sweep", "--z", "2", "--n", "1", "--prior", "cauchy",
+                     "--scale-min", "0.1", "--scale-max", "1e308", "--format", "csv")
+        assert cp.returncode == 0, cp.stderr
+        rows = parse_csv(cp.stdout)
+        scales = [float(r["scale"]) for r in rows]
+        assert len(rows) == 100 and scales[0] == 0.1 and scales[-1] == 1e308
+        assert all(math.isfinite(s) for s in scales)
+        assert all(math.isfinite(float(r["log_bf01"])) for r in rows)
+
+    def test_cauchy_sweep_stops_where_gamma_overflows(self):
+        # sqrt(50) * r is not a float from r ~ 2.5e307: a finite grid point
+        # fails bf01_cauchy's own range check, not an inf grid point
+        cp = run_cli("sweep", "--z", "2", "--n", "50", "--prior", "cauchy",
+                     "--scale-min", "0.1", "--scale-max", "1e308")
+        assert cp.returncode == 1
+        lines = cp.stderr.strip().splitlines()
+        assert len(lines) == 1, cp.stderr
+        assert lines[0].startswith("error: sqrt(n) * r overflows a float (n = 50, r = ")
+        assert "inf" not in lines[0]

@@ -51,6 +51,24 @@ class TestScaleGrid:
         with pytest.raises(DomainError):
             scale_grid(0.0, 1.0, 10, "cubic")
 
+    @pytest.mark.parametrize("lo,hi,points", [
+        (0.1, 1e308, 100),
+        (1e-300, 1.7976931348623157e308, 1000),
+        (-1e308, 1e308, 7),
+        (-1.7976931348623157e308, 1.7976931348623157e308, 3),
+    ])
+    def test_linear_bounds_near_the_float_range(self, lo, hi, points):
+        # (hi - lo) * i overflows here, and inf points used to follow
+        g = scale_grid(lo, hi, points)
+        assert len(g) == points and g[0] == lo and g[-1] == hi
+        assert all(math.isfinite(x) for x in g)
+        assert all(a < b for a, b in zip(g, g[1:]))
+
+    def test_linear_grid_bits_unchanged_below_overflow(self):
+        for lo, hi, points in [(0.1, 3.0, 100), (0.02, 4.7, 37), (1e300, 1e307, 11)]:
+            assert scale_grid(lo, hi, points) == [
+                lo + (hi - lo) * i / (points - 1) for i in range(points)]
+
 
 class TestSweep:
     def test_normal_sweep_crosses_once_at_critical_scale(self):

@@ -10,6 +10,8 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 from xml.sax.saxutils import escape
 
+import pytest
+
 from bayesflip import svg
 
 REPO = Path(__file__).resolve().parents[1]
@@ -20,9 +22,10 @@ HEAVY = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket",
          "bayesflip.report", "bayesflip.svg")
 
 
-def loaded_by(code: str) -> set[str]:
+def loaded_by(code: str, *flags: str) -> set[str]:
     """Modules that appear in sys.modules while ``code`` runs in a fresh
-    interpreter, after the interpreter's own start-up."""
+    interpreter started with ``flags``, after the interpreter's own
+    start-up."""
     script = (
         "import sys, json\n"
         "before = set(sys.modules)\n"
@@ -31,7 +34,7 @@ def loaded_by(code: str) -> set[str]:
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    cp = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+    cp = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True,
                         env=env, check=True)
     return set(json.loads(cp.stdout.splitlines()[-1]))
 
@@ -109,3 +112,58 @@ def test_chart_with_markup_in_every_label():
         assert ">" + escape(text) + "<" in doc
     texts = [t.text for t in ET.fromstring(doc).iter("{http://www.w3.org/2000/svg}text")]
     assert {*MARKUP[:4], "k < k*", "BF01 > 1 & rising"} <= set(texts)
+
+
+def bf_argv(prior: str) -> str:
+    return ('from bayesflip.cli import main\n'
+            f'main(["bf", "--z", "2", "--n", "50", "--prior", "{prior}", "--scale", "0.8"])')
+
+
+def test_no_dataclasses_typing_or_pathlib_at_start_up():
+    # -S: without site, which may load typing and pathlib itself
+    every_module = f"import {', '.join(package_modules())}"
+    for code in ("import bayesflip.cli", bf_argv("normal"), bf_argv("cauchy"), every_module):
+        mods = loaded_by(code, "-S")
+        assert not {"dataclasses", "inspect", "typing", "pathlib"} & mods, code
+
+
+def test_import_bayesflip_loads_no_submodule():
+    mods = loaded_by("import bayesflip")
+    assert {m for m in mods if m.startswith("bayesflip")} == {"bayesflip"}
+
+
+def test_bf_normal_loads_only_closed_form_modules():
+    mods = loaded_by(bf_argv("normal"))
+    assert not {"bayesflip.flip", "bayesflip.numerics", "bayesflip.cauchy",
+                "bayesflip._kernels", "bayesflip._kernels.pure"} & mods
+    assert "bayesflip.bayes_factor" in mods
+
+
+def test_bf_cauchy_does_not_load_flip():
+    mods = loaded_by(bf_argv("cauchy"))
+    assert "bayesflip.cauchy" in mods
+    assert "bayesflip.flip" not in mods and "bayesflip.report" not in mods
+
+
+def test_every_public_name_resolves():
+    code = (
+        "import bayesflip\n"
+        "names = list(bayesflip.__all__)\n"
+        "listed = set(dir(bayesflip))\n"
+        "assert all(n in listed for n in names), set(names) - listed\n"
+        "found = [getattr(bayesflip, n) for n in names]\n"
+        "ns = {}\n"
+        "exec('from bayesflip import *', ns)\n"
+        "assert [ns[n] for n in names] == found\n"
+        "assert bayesflip.cli.main and bayesflip.report.scale_grid and bayesflip.svg.line_chart\n"
+    )
+    mods = loaded_by(code)
+    assert {"bayesflip.flip", "bayesflip.cauchy", "bayesflip.numerics"} <= mods
+
+
+def test_unknown_name_is_attribute_error():
+    import bayesflip
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bayesflip.no_such_name
+    assert not hasattr(bayesflip, "dataclass")
