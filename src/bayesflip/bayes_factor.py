@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from enum import Enum
 
 from ._record import record
@@ -39,6 +40,9 @@ _SQRT2 = math.sqrt(2.0)
 # |log BF| at or below this counts as a tie: exact BF = 1 is measure-zero,
 # but float comparisons need a band.
 NEUTRAL_LOG_BAND = 1e-12
+
+# the largest log BF01 whose BF01 is a float: exp of anything above overflows
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 def _check_sample_size(n: int) -> None:
@@ -109,12 +113,16 @@ class BayesFactorResult(record("BayesFactorResult", "bf01 log_bf01 direction")):
 
     @classmethod
     def from_log(cls, log_bf: float) -> "BayesFactorResult":
-        """Result for log BF01; BF01 underflows to 0.0 below about -745."""
+        """Result for log BF01; BF01 underflows to 0.0 below about -745,
+        and a log BF01 above log(DBL_MAX) ~ 709.78 raises DomainError."""
         if abs(log_bf) <= NEUTRAL_LOG_BAND:
             direction = Direction.NEUTRAL
         elif log_bf < 0.0:
             direction = Direction.FAVOURS_H1
         elif log_bf > 0.0:
+            if log_bf > _LOG_DBL_MAX:
+                raise DomainError(f"BF01 overflows a float: log BF01 = {log_bf!r} is above "
+                                  f"log(DBL_MAX) = {_LOG_DBL_MAX!r}")
             direction = Direction.FAVOURS_H0
         else:  # only nan fails all three comparisons
             raise DomainError("log BF01 is nan")

@@ -6,11 +6,13 @@ machine output carrying full float precision, written to --out when
 given.  Exit codes: 0 success, 1 computation/domain error or an output
 file that cannot be written, 2 usage error.
 
-Every invocation is a fresh process, so ``cauchy``, ``flip``, ``report``,
-``svg`` and ``json`` are imported inside the handlers and renderers that
-use them, and the package modules are called as module attributes (which
-a tracer patching module namespaces still sees): a command loads only
-the modules it runs.
+Each handler returns its human text, its data as ``Table`` records of
+plain cells, and its SVG renderers; ``_emit`` renders only the format
+asked for.  Every invocation is a fresh process, so ``cauchy``, ``flip``,
+``report``, ``svg`` and the CSV/JSON writers are imported inside the
+handlers and renderers that use them, and the package modules are called
+as module attributes (which a tracer patching module namespaces still
+sees): a command loads only the modules it runs.
 """
 
 from __future__ import annotations
@@ -38,6 +40,18 @@ class RunConfig(record("RunConfig",
     the output path (None for stdout) and the human precision."""
 
     __slots__ = ()
+
+
+class Table(record("Table", "name header rows")):
+    """One dataset of machine output: its name (the JSON key and file
+    suffix when a command writes several), column names, and rows of
+    cells (None, int, float or str)."""
+
+    __slots__ = ()
+
+
+# commands whose JSON is their table's single row as one object
+_ONE_OBJECT = ("bf", "paradox")
 
 
 class _OutputError(BayesFlipError):
@@ -134,34 +148,9 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunC
                      precision=args.precision)
 
 
-def _mfloat(v: object) -> str:
-    """Full-precision cell for machine output (repr round-trips floats)."""
-    if v is None:
-        return ""
-    if isinstance(v, Direction):
-        return v.value
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_mfloat(c) for c in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _jsonable(v: object) -> object:
-    return v.value if isinstance(v, Direction) else v
-
-
-def _json_rows(header: list[str], rows: list[list]) -> list[dict]:
-    return [{h: _jsonable(c) for h, c in zip(header, row)} for row in rows]
-
-
 # --- command handlers -----------------------------------------------------
 
-def _cmd_bf(run: RunConfig) -> dict:
+def _cmd_bf(run: RunConfig) -> tuple:
     p = run.parameters
     setup = TestSetup(n=p["n"], z=p["z"])
     if p["prior"] == "normal":
@@ -188,14 +177,14 @@ def _cmd_bf(run: RunConfig) -> dict:
         f"direction    {_DIRECTION_TEXT[res.direction]}",
         f"p_h0         {post:.{d}f}   (posterior of H0 at pi0 = 1/2)",
     ])
-    header = ["z", "n", "prior", "scale", "k", "bf01", "log_bf01",
-              "direction", "posterior_prob_h0"]
-    row = [p["z"], p["n"], p["prior"], p["scale"], k,
-           res.bf01, res.log_bf01, res.direction, post]
-    return {"human": human, "header": header, "rows": [row], "json": _json_rows(header, [row])[0]}
+    header = ("z", "n", "prior", "scale", "k", "bf01", "log_bf01",
+              "direction", "posterior_prob_h0")
+    row = (p["z"], p["n"], p["prior"], p["scale"], k,
+           res.bf01, res.log_bf01, res.direction.value, post)
+    return human, [Table("bf", header, [row])], []
 
 
-def _cmd_flip(run: RunConfig) -> dict:
+def _cmd_flip(run: RunConfig) -> tuple:
     from . import flip
 
     p = run.parameters
@@ -206,9 +195,9 @@ def _cmd_flip(run: RunConfig) -> dict:
     }[p["method"]]
     results = [flip.flip_point(p["z"], m) for m in methods]
     n = p["n"]
-    header = ["z", "method", "k_star", "residual", "tau_star"]
-    rows = [[r.z, r.method.value, r.k_star, r.residual,
-             flip.tau_star(r.k_star, n) if n is not None else None] for r in results]
+    header = ("z", "method", "k_star", "residual", "tau_star")
+    rows = [(r.z, r.method.value, r.k_star, r.residual,
+             flip.tau_star(r.k_star, n) if n is not None else None) for r in results]
     d = run.precision
     lines = [f"z            {p['z']:.{d}f}"]
     for r in results:
@@ -219,11 +208,10 @@ def _cmd_flip(run: RunConfig) -> dict:
     if len(results) == 2:
         rel = abs(results[0].k_star - results[1].k_star) / results[0].k_star
         lines.append(f"method agreement: {rel:.2e} relative")
-    return {"human": "\n".join(lines), "header": header, "rows": rows,
-            "json": _json_rows(header, rows)}
+    return "\n".join(lines), [Table("flip", header, rows)], []
 
 
-def _cmd_sweep(run: RunConfig) -> dict:
+def _cmd_sweep(run: RunConfig) -> tuple:
     from . import report
 
     p = run.parameters
@@ -234,8 +222,7 @@ def _cmd_sweep(run: RunConfig) -> dict:
         flip_row = report.sweep_flip_row(setup)
         if flip_row is not None:
             rows = rows + [flip_row]
-    header = ["kind", "scale", "k", "bf01", "log_bf01", "direction"]
-    cells = [[r.kind, r.scale, r.k, r.bf01, r.log_bf01, r.direction] for r in rows]
+    cells = [(r.kind, r.scale, r.k, r.bf01, r.log_bf01, r.direction.value) for r in rows]
     d = run.precision
     lines = [f"{'kind':8s} {'scale':>12s} {'bf01':>12s} direction"]
     lines.extend(
@@ -259,17 +246,13 @@ def _cmd_sweep(run: RunConfig) -> dict:
         )
         return chart
 
-    return {"human": "\n".join(lines), "header": header, "rows": cells,
-            "json": _json_rows(header, cells), "svg": _svg}
+    return "\n".join(lines), [Table("sweep", report.SweepRow._fields, cells)], [_svg]
 
 
-def _cmd_table1(run: RunConfig) -> dict:
+def _cmd_table1(run: RunConfig) -> tuple:
     from . import report
 
     rows = report.table_rows()
-    header = ["z", "z_squared", "p_value", "k_star", "tau_star_n50", "tau_star_n100"]
-    cells = [[r.z, r.z_squared, r.p_value, r.k_star, r.tau_star_n50, r.tau_star_n100]
-             for r in rows]
     # published-style rendering: z and z^2 and k* and tau* to 2 decimals, p to 3
     lines = [f"{'z':>5s} {'z^2':>6s} {'p':>6s} {'k*':>9s} {'tau*(50)':>9s} {'tau*(100)':>10s}"]
     lines.extend(
@@ -277,21 +260,15 @@ def _cmd_table1(run: RunConfig) -> dict:
         f"{r.tau_star_n50:9.2f} {r.tau_star_n100:10.2f}"
         for r in rows
     )
-    return {"human": "\n".join(lines), "header": header, "rows": cells,
-            "json": _json_rows(header, cells)}
+    return "\n".join(lines), [Table("table1", report.TableOneRow._fields, rows)], []
 
 
-def _cmd_figure1(run: RunConfig) -> dict:
+def _cmd_figure1(run: RunConfig) -> tuple:
     from . import report
 
     p = run.parameters
     panel_a = report.figure_panel_a(p["points_a"])
     panel_b = report.figure_panel_b(p["points_b"])
-    header = ["panel", "z", "x", "bf01", "log_bf01", "direction", "kind"]
-
-    def cells(rows):
-        return [[r.panel, r.z, r.x, r.bf01, r.log_bf01, r.direction, r.kind] for r in rows]
-
     d = run.precision
     human = "\n".join([
         f"panel a: {len(panel_a)} rows (BF01 vs k, z in "
@@ -329,16 +306,14 @@ def _cmd_figure1(run: RunConfig) -> dict:
             ref_y=1.0, ref_x=flips[0].x if flips else None,
         )
 
-    return {
-        "human": human,
-        "multi": [("panel_a", header, cells(panel_a)), ("panel_b", header, cells(panel_b))],
-        "json": {"panel_a": _json_rows(header, cells(panel_a)),
-                 "panel_b": _json_rows(header, cells(panel_b))},
-        "svg_multi": [("panel_a", _svg_a), ("panel_b", _svg_b)],
-    }
+    tables = [Table(name, report.FigureRow._fields,
+                    [(r.panel, r.z, r.x, r.bf01, r.log_bf01, r.direction.value, r.kind)
+                     for r in rows])
+              for name, rows in (("panel_a", panel_a), ("panel_b", panel_b))]
+    return human, tables, [_svg_a, _svg_b]
 
 
-def _cmd_paradox(run: RunConfig) -> dict:
+def _cmd_paradox(run: RunConfig) -> tuple:
     from . import flip
 
     p = run.parameters
@@ -359,12 +334,11 @@ def _cmd_paradox(run: RunConfig) -> dict:
         "same data, same hypotheses: the direction of evidence is set by "
         "the prior scale alone.",
     ])
-    header = ["z", "n", "k_star", "tau_star", "tau1", "tau2", "bf1", "bf2",
-              "posterior_h0_tau1", "posterior_h0_tau2", "direction1", "direction2"]
-    row = [setup.z, setup.n, fp.k_star, ts, pair.tau1, pair.tau2, pair.bf1,
-           pair.bf2, post1, post2, Direction.FAVOURS_H1, Direction.FAVOURS_H0]
-    return {"human": human, "header": header, "rows": [row],
-            "json": _json_rows(header, [row])[0]}
+    header = ("z", "n", "k_star", "tau_star", "tau1", "tau2", "bf1", "bf2",
+              "posterior_h0_tau1", "posterior_h0_tau2", "direction1", "direction2")
+    row = (setup.z, setup.n, fp.k_star, ts, pair.tau1, pair.tau2, pair.bf1, pair.bf2,
+           post1, post2, Direction.FAVOURS_H1.value, Direction.FAVOURS_H0.value)
+    return human, [Table("paradox", header, [row])], []
 
 
 _HANDLERS = {
@@ -400,36 +374,31 @@ def _suffixed(out: str, tag: str, ext: str) -> str:
     return os.path.join(head, f"{stem}_{tag}{ext}")
 
 
-def _emit(run: RunConfig, payload: dict) -> None:
-    fmt = run.output_format
+def _emit(run: RunConfig, human: str, tables: list[Table], svgs: list) -> None:
+    """Render run's format only: human text, one JSON document, or one CSV
+    or SVG document per table (svgs holds one renderer per table)."""
+    fmt, out = run.output_format, run.output_path
     if fmt is None:
-        print(payload["human"])
+        print(human)
         return
     if fmt == "json":
-        import json
+        from ._writers import json_text
 
-        _write(json.dumps(payload["json"], indent=2), run.output_path)
+        _write(json_text(tables, run.command in _ONE_OBJECT), out)
         return
     if fmt == "csv":
-        if "multi" in payload:
-            if run.output_path is None:
-                blocks = [_csv(h, rows) for _, h, rows in payload["multi"]]
-                _write("\n".join(blocks), None)
-            else:
-                for tag, h, rows in payload["multi"]:
-                    _write(_csv(h, rows), _suffixed(run.output_path, tag, ".csv"))
-            return
-        _write(_csv(payload["header"], payload["rows"]), run.output_path)
-        return
-    if fmt == "svg":
-        if "svg_multi" in payload:
-            # --out is guaranteed by validation
-            for tag, render in payload["svg_multi"]:
-                _write(render(), _suffixed(run.output_path, tag, ".svg"))
-            return
-        _write(payload["svg"](), run.output_path)
-        return
-    raise AssertionError(f"unhandled format {fmt!r}")
+        from ._writers import csv_text
+
+        docs = [csv_text(t) for t in tables]
+    else:
+        docs = [render() for render in svgs]
+    if out is None:  # several SVGs need --out, by validation
+        _write("\n".join(docs), None)
+    elif len(docs) == 1:
+        _write(docs[0], out)
+    else:
+        for t, doc in zip(tables, docs):
+            _write(doc, _suffixed(out, t.name, "." + fmt))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -437,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     run = _validate(parser, args)
     try:
-        _emit(run, _HANDLERS[run.command](run))
+        _emit(run, *_HANDLERS[run.command](run))
     except BayesFlipError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,6 +2,7 @@
 the structural properties that drive the reversal phenomenon."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -222,6 +223,18 @@ class TestInputContract:
     def test_nan_log_bf_rejected(self):
         with pytest.raises(DomainError):
             BayesFactorResult.from_log(float("nan"))
+
+    @pytest.mark.parametrize("log_bf", [math.nextafter(math.log(1.7976931348623157e308), 1e9),
+                                        710.0, 800.0, 1e308, math.inf])
+    def test_log_bf_above_float_range_names_the_log(self, log_bf):
+        with pytest.raises(DomainError, match=re.escape(f"log BF01 = {log_bf!r}")):
+            BayesFactorResult.from_log(log_bf)
+
+    def test_largest_log_bf_is_finite(self):
+        log_max = math.log(1.7976931348623157e308)
+        res = BayesFactorResult.from_log(log_max)
+        assert res.bf01 == math.exp(log_max) > 1.79e308
+        assert res.direction is Direction.FAVOURS_H0
 
     def test_underflowed_bf_keeps_its_log(self):
         # |z| = 40: BF01 = e^-782 underflows, log BF01 and direction stay exact

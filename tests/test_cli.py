@@ -243,6 +243,14 @@ class TestDomainEdges:
         assert obj["bf01"] == 0.0 and obj["posterior_prob_h0"] == 0.0
         assert obj["direction"] == "favours_h1"
 
+    def test_bf_overflowing_bayes_factor_is_exit_one(self):
+        # gamma = 1.7e308: log BF01 = 709.95, so BF01 is above the float range
+        cp = run_cli("bf", "--z", "0", "--n", "1", "--prior", "cauchy", "--scale", "1.7e308")
+        assert cp.returncode == 1
+        lines = cp.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), cp.stderr
+        assert "log BF01 = 709.95" in lines[0]
+
     @pytest.mark.parametrize("method", ["bracketed", "lambert_w", "both"])
     def test_flip_beyond_finite_k_star(self, method):
         cp = run_cli("flip", "--z", "30", "--method", method)

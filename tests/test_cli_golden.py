@@ -60,12 +60,14 @@ CASES = {
     "sweep-normal-svg": [*SWEEP, "--format", "svg"],
     "sweep-cauchy-svg-out": [*SWEEP, "--prior", "cauchy", "--format", "svg",
                              "--out", "OUT.svg"],
+    "sweep-cauchy-json": [*SWEEP, "--prior", "cauchy", "--format", "json"],
     "table1-human": ["table1"],
     "table1-csv": ["table1", "--format", "csv"],
     "table1-json": ["table1", "--format", "json"],
     "table1-csv-out": ["table1", "--format", "csv", "--out", "OUT.csv"],
     "figure1-human": ["figure1"],
     "figure1-csv": [*SMALL_FIG, "--format", "csv"],
+    "figure1-csv-default": ["figure1", "--format", "csv"],
     "figure1-json": [*SMALL_FIG, "--format", "json"],
     "figure1-csv-out": ["figure1", "--format", "csv", "--out", "OUT"],
     "figure1-json-out": ["figure1", "--format", "json", "--out", "OUT.json"],

@@ -2,7 +2,6 @@
 name in fresh processes rather than by timing, plus the SVG escape that
 replaced ``xml.sax.saxutils``."""
 
-import json
 import os
 import subprocess
 import sys
@@ -26,17 +25,17 @@ def loaded_by(code: str, *flags: str) -> set[str]:
     """Modules that appear in sys.modules while ``code`` runs in a fresh
     interpreter started with ``flags``, after the interpreter's own
     start-up."""
-    script = (
-        "import sys, json\n"
+    script = (  # no json here: which commands load it is under test
+        "import sys\n"
         "before = set(sys.modules)\n"
         f"{code}\n"
-        "json.dump(sorted(set(sys.modules) - before), sys.stdout)\n"
+        "print('\\n' + ' '.join(sorted(set(sys.modules) - before)))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     cp = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True,
                         env=env, check=True)
-    return set(json.loads(cp.stdout.splitlines()[-1]))
+    return set(cp.stdout.splitlines()[-1].split())
 
 
 def heavy_in(modules: set[str]) -> set[str]:
@@ -91,6 +90,20 @@ def test_figure1_svg_loads_svg(tmp_path):
     assert not {"xml.sax", "urllib.request", "email"} & mods
     for tag in ("panel_a", "panel_b"):
         ET.parse(tmp_path / f"fig_{tag}.svg")
+
+
+def test_only_json_output_loads_json(tmp_path):
+    """Machine output is rendered only in the format asked for: the CSV
+    writer and human text never import json."""
+    def json_modules(*argv):
+        mods = loaded_by(f"from bayesflip.cli import main\nmain({list(argv)!r})", "-S")
+        return {m for m in mods if m.partition(".")[0] in ("json", "_json")}
+
+    out = str(tmp_path / "fig")
+    assert json_modules("table1", "--format", "csv") == set()
+    assert json_modules("figure1", "--format", "csv", "--out", out) == set()
+    assert json_modules("figure1") == set()
+    assert "json" in json_modules("figure1", "--format", "json", "--out", out + ".json")
 
 
 MARKUP = ("a & b", "x < y > z", "&amp; <tag/>", "R&D <b>", "plain")
