@@ -22,14 +22,12 @@ _EXPORTS = {
     "bayes_factor": ("BayesFactorResult", "Direction", "NormalPrior", "TestSetup", "bf01",
                      "bf_argmin_k", "dlogbf_dk", "log_bf01", "posterior_prob_h0",
                      "two_sided_p"),
-    "cauchy": ("CauchyPrior", "bf01_cauchy", "bf01_normal_via_quadrature",
-               "cauchy_flip_scale"),
+    "cauchy": ("CauchyPrior", "bf01_cauchy", "cauchy_flip_scale"),
     "errors": ("BayesFlipError", "ConvergenceError", "DomainError", "MaxIterExceeded",
                "NoFlipPoint", "NoSignChange", "NotAReversal"),
     "flip": ("FlipMethod", "FlipPointResult", "ReversalPair", "flip_point", "phi",
              "phi_inverse", "reversal_pair", "tau_star", "validate_pair"),
-    "numerics": ("DEFAULT_CONFIG", "Bracket", "MarginalIntegrand", "SolverConfig",
-                 "find_root", "integrate_real_line", "lambert_w0", "marginal_log_integral",
+    "numerics": ("DEFAULT_CONFIG", "Bracket", "SolverConfig", "find_root", "lambert_w0",
                  "std_normal_cdf", "std_normal_pdf"),
 }
 _SUBMODULES = ("bayes_factor", "cauchy", "cli", "errors", "flip", "numerics", "report", "svg")

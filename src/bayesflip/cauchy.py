@@ -13,33 +13,19 @@ depends on n and r only through gamma, so the flip scale solves for
 gamma* = sqrt(n)*r*, a function of z alone, in log gamma.  A flip exists
 exactly when |z| > Z_CRIT = sqrt(2)*x0, where x0 maximises Dawson's
 function: below it BF01 >= 1 for every r.
-
-The adaptive quadrature survives as an independent oracle: the
-normal-prior route through it (bf01_normal_via_quadrature) is checked
-against the normal closed form, and MarginalIntegrand with a Cauchy
-prior against this module.
 """
 
 from __future__ import annotations
 
 import math
 
-from ._kernels.pure import log_re_faddeeva
+from ._kernels import log_re_faddeeva
 from ._record import record
-from .bayes_factor import BayesFactorResult, NormalPrior, TestSetup
+from .bayes_factor import BayesFactorResult, TestSetup
 from .errors import ConvergenceError, DomainError, NoFlipPoint
-from .numerics import (
-    DEFAULT_CONFIG,
-    Bracket,
-    MarginalIntegrand,
-    SolverConfig,
-    find_root,
-    log_std_normal_pdf,
-    marginal_log_integral,
-)
+from .numerics import Bracket, find_root
 
-__all__ = ["CauchyPrior", "Z_CRIT", "bf01_cauchy", "bf01_normal_via_quadrature",
-           "cauchy_flip_scale"]
+__all__ = ["CauchyPrior", "Z_CRIT", "bf01_cauchy", "cauchy_flip_scale"]
 
 # sqrt(2) * x0, with x0 the root of 2 x F(x) = 1 (F Dawson's function)
 Z_CRIT = 1.306929727719281
@@ -78,19 +64,7 @@ def bf01_cauchy(setup: TestSetup, prior: CauchyPrior) -> BayesFactorResult:
     return BayesFactorResult.from_log(_log_bf01_voigt(setup.z, gamma))
 
 
-def bf01_normal_via_quadrature(setup: TestSetup, prior: NormalPrior,
-                               cfg: SolverConfig = DEFAULT_CONFIG) -> BayesFactorResult:
-    """Normal-prior Bayes factor through the quadrature pipeline.
-
-    Exists to cross-validate the pipeline: the result must match the
-    closed form to ~1e-8 relative.
-    """
-    integrand = MarginalIntegrand(z=setup.z, n=setup.n, prior_family="normal", scale=prior.tau)
-    return BayesFactorResult.from_log(
-        log_std_normal_pdf(setup.z) - marginal_log_integral(integrand, cfg))
-
-
-def cauchy_flip_scale(setup: TestSetup, cfg: SolverConfig = DEFAULT_CONFIG) -> float:
+def cauchy_flip_scale(setup: TestSetup) -> float:
     """The Cauchy scale r* at which BF01 crosses 1 from below as r grows.
 
     Solves log BF01 = 0 for gamma* = sqrt(n)*r* in s = log(gamma /
@@ -126,7 +100,7 @@ def cauchy_flip_scale(setup: TestSetup, cfg: SolverConfig = DEFAULT_CONFIG) -> f
             if lo < -_MAX_BRACKET_STEPS:
                 raise ConvergenceError(
                     f"log BF01 does not resolve below 0 for |z| = {z}, too close to {Z_CRIT}")
-        log_gamma += find_root(f, Bracket(lo, lo + 1.0), cfg)
+        log_gamma += find_root(f, Bracket(lo, lo + 1.0))
     log_r = log_gamma - 0.5 * math.log(setup.n)
     try:
         return math.exp(log_r)

@@ -23,9 +23,9 @@ class MaxIterExceeded(BayesFlipError):
 
 
 class ConvergenceError(BayesFlipError):
-    """A numerical result could not reach the requested tolerance: a
-    quadrature error estimate, or a flip scale too close to its critical
-    z-statistic to resolve in floating point."""
+    """A numerical result could not reach the requested tolerance, such
+    as a flip scale too close to its critical z-statistic to resolve in
+    floating point."""
 
 
 class NoFlipPoint(BayesFlipError):

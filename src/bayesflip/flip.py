@@ -20,9 +20,9 @@ import sys
 from enum import Enum
 
 from ._record import record
-from .bayes_factor import Direction, NormalPrior, TestSetup, bf01
+from .bayes_factor import Direction, NormalPrior, TestSetup, _check_sample_size, bf01
 from .errors import ConvergenceError, DomainError, NoFlipPoint, NotAReversal
-from .numerics import DEFAULT_CONFIG, Bracket, SolverConfig, find_root, lambert_w0
+from .numerics import Bracket, SolverConfig, find_root, lambert_w0
 
 __all__ = [
     "FlipMethod",
@@ -57,6 +57,9 @@ _LOG_MAX_FLOAT = math.log(_MAX_FLOAT)
 # below 1e-17 relative); above it the closed form loses at most ~1e-13.
 _PHI_SERIES_K = 0.01
 
+# The phi solve stops on a relative interval width alone (see _solve_phi).
+_PHI_SOLVE = SolverConfig(abs_tol=0.0)
+
 
 class FlipPointResult(record("FlipPointResult", "k_star residual method z")):
     """Flip point k* with the residual of its characterizing equation and
@@ -80,7 +83,7 @@ def phi(k: float) -> float:
     return (1.0 + k) * (math.log1p(k) / k)
 
 
-def phi_inverse(y: float, cfg: SolverConfig = DEFAULT_CONFIG) -> float:
+def phi_inverse(y: float) -> float:
     """The k > 0 with phi(k) = y, for y > 1.
 
     Raises DomainError where that k overflows a float, from y of about
@@ -88,7 +91,7 @@ def phi_inverse(y: float, cfg: SolverConfig = DEFAULT_CONFIG) -> float:
     """
     if not y > 1.0:
         raise DomainError(f"phi_inverse domain is y > 1, got {y}")
-    k = _solve_phi(y - 1.0, cfg)
+    k = _solve_phi(y - 1.0)
     if k is None:
         raise DomainError(f"phi_inverse(y) overflows a float for y above "
                           f"{_LOG_MAX_FLOAT:.2f}; got y = {y}")
@@ -105,7 +108,7 @@ def _phi_minus_one(k: float) -> float:
     return (1.0 + k) / k * math.log1p(k) - 1.0
 
 
-def _solve_phi(c: float, cfg: SolverConfig) -> float | None:
+def _solve_phi(c: float) -> float | None:
     """The k > 0 with phi(k) - 1 = c, for c > 0; None where k overflows.
 
     Since log(1+k) < phi(k) < log(1+k) + 1, the root lies between the k
@@ -119,8 +122,7 @@ def _solve_phi(c: float, cfg: SolverConfig) -> float | None:
     hi = math.expm1(c + 1.5) if c + 1.5 < _LOG_MAX_FLOAT else _MAX_FLOAT
     if not _phi_minus_one(hi) > c:
         return None
-    return find_root(lambda k: _phi_minus_one(k) - c, Bracket(lo, hi),
-                     cfg._replace(abs_tol=0.0))
+    return find_root(lambda k: _phi_minus_one(k) - c, Bracket(lo, hi), _PHI_SOLVE)
 
 
 def _no_finite_k_star(z: float) -> DomainError:
@@ -130,8 +132,7 @@ def _no_finite_k_star(z: float) -> DomainError:
     )
 
 
-def flip_point(z: float, method: FlipMethod = FlipMethod.BRACKETED,
-               cfg: SolverConfig = DEFAULT_CONFIG) -> FlipPointResult:
+def flip_point(z: float, method: FlipMethod = FlipMethod.BRACKETED) -> FlipPointResult:
     """The unique k* > z^2 - 1 with BF01(z; k*) = 1; requires |z| > 1.
 
     BRACKETED solves phi(k) - 1 = z^2 - 1, the flip equation
@@ -142,8 +143,10 @@ def flip_point(z: float, method: FlipMethod = FlipMethod.BRACKETED,
     the Lambert argument nears the branch point -1/e and the route misses
     rel_tol 1e-12, the bracketed route is used regardless of the requested
     method.  Both routes raise DomainError where k* is not a finite float,
-    |z| above about 26.64.
+    |z| above about 26.64, and for a non-finite z.
     """
+    if not math.isfinite(z):
+        raise DomainError(f"z-statistic must be finite, got z = {z}")
     a = abs(z)
     if a <= 1.0:
         raise NoFlipPoint(
@@ -157,10 +160,10 @@ def flip_point(z: float, method: FlipMethod = FlipMethod.BRACKETED,
         # z^2 is near log(DBL_MAX), so testing z^2 alone decides the same
         if z2 > _LOG_MAX_FLOAT:
             raise _no_finite_k_star(z)
-        k_star = math.expm1(lambert_w0(-z2 * math.exp(-z2), cfg) + z2)
+        k_star = math.expm1(lambert_w0(-z2 * math.exp(-z2)) + z2)
     else:
         used = FlipMethod.BRACKETED
-        k_star = _solve_phi(z2m1, cfg)
+        k_star = _solve_phi(z2m1)
         if k_star is None:
             raise _no_finite_k_star(z)
     # (1+k) log(1+k) - z^2 k = k (phi(k) - z^2), formed so it cannot overflow
@@ -175,15 +178,13 @@ def flip_point(z: float, method: FlipMethod = FlipMethod.BRACKETED,
 
 def tau_star(k_star: float, n: int) -> float:
     """Critical prior standard deviation sqrt(k*/n) for sample size n."""
-    if not k_star > 0.0:
-        raise DomainError(f"k_star must be positive, got {k_star}")
-    if n < 1:
-        raise DomainError(f"sample size must be >= 1, got {n}")
+    if not 0.0 < k_star < math.inf:
+        raise DomainError(f"k_star must be positive and finite, got {k_star}")
+    _check_sample_size(n)
     return math.sqrt(k_star / n)
 
 
-def reversal_pair(setup: TestSetup, spread: float = 0.5,
-                  cfg: SolverConfig = DEFAULT_CONFIG) -> ReversalPair:
+def reversal_pair(setup: TestSetup, spread: float = 0.5) -> ReversalPair:
     """A symmetric multiplicative pair tau* (1 - spread), tau* / (1 - spread)
     demonstrating the reversal: bf1 < 1 < bf2 on identical data.
 
@@ -192,7 +193,7 @@ def reversal_pair(setup: TestSetup, spread: float = 0.5,
     """
     if not 0.0 < spread < 1.0:
         raise DomainError(f"spread must lie in (0, 1), got {spread}")
-    fp = flip_point(setup.z, FlipMethod.BRACKETED, cfg)
+    fp = flip_point(setup.z, FlipMethod.BRACKETED)
     ts = tau_star(fp.k_star, setup.n)
     shrink = 1.0 - spread
     if shrink == 1.0:  # spread below float resolution; start just under 1
@@ -209,8 +210,7 @@ def reversal_pair(setup: TestSetup, spread: float = 0.5,
     raise NotAReversal("could not separate the pair from the neutral band")
 
 
-def validate_pair(setup: TestSetup, tau1: float, tau2: float,
-                  cfg: SolverConfig = DEFAULT_CONFIG) -> ReversalPair:
+def validate_pair(setup: TestSetup, tau1: float, tau2: float) -> ReversalPair:
     """Check that (tau1, tau2) is a legal reversal pair for the data:
     tau1 < tau* < tau2 with BF01(tau1) < 1 < BF01(tau2).
 
@@ -218,7 +218,7 @@ def validate_pair(setup: TestSetup, tau1: float, tau2: float,
     """
     if not tau1 > 0.0 or not tau2 > 0.0:
         raise DomainError(f"prior scales must be positive, got ({tau1}, {tau2})")
-    fp = flip_point(setup.z, FlipMethod.BRACKETED, cfg)
+    fp = flip_point(setup.z, FlipMethod.BRACKETED)
     ts = tau_star(fp.k_star, setup.n)
     r1 = bf01(setup, NormalPrior(tau1))
     r2 = bf01(setup, NormalPrior(tau2))

@@ -1,12 +1,9 @@
-"""Self-contained numerical kernel: bracketed root finding, the
-principal branch of the Lambert W function, adaptive quadrature over the
-whole real line, and the standard normal density and distribution
-function.
+"""Self-contained numerical layer: bracketed root finding, the principal
+branch of the Lambert W function, and the standard normal density and
+distribution function.
 
-Densities and integrands are handled in log space internally and
-exponentiated late, so large sample sizes or extreme z-statistics do not
-underflow.  Everything here is a pure function of its inputs and safe to
-call from multiple threads.
+Everything here is a pure function of its inputs and safe to call from
+multiple threads.
 """
 
 from __future__ import annotations
@@ -14,20 +11,16 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from ._kernels import pure as _pure
+from . import _kernels
 from ._record import record
-from .bayes_factor import _check_sample_size
-from .errors import ConvergenceError, DomainError, MaxIterExceeded, NoSignChange
+from .errors import DomainError, MaxIterExceeded, NoSignChange
 
 __all__ = [
     "Bracket",
     "SolverConfig",
     "DEFAULT_CONFIG",
-    "MarginalIntegrand",
     "find_root",
     "lambert_w0",
-    "integrate_real_line",
-    "marginal_log_integral",
     "std_normal_pdf",
     "std_normal_cdf",
     "log_std_normal_pdf",
@@ -52,7 +45,7 @@ class Bracket(record("Bracket", "lo hi")):
 
 
 class SolverConfig(record("SolverConfig", "rel_tol abs_tol max_iter")):
-    """Tolerances shared by the solvers and the quadrature.
+    """Tolerances of find_root.
 
     rel_tol is dimensionless; abs_tol is an absolute floor for interval
     widths near zero; max_iter bounds root-finder iterations.
@@ -138,8 +131,9 @@ def find_root(f: Callable[[float], float], bracket: Bracket,
     raise MaxIterExceeded(f"root not localized within {cfg.max_iter} iterations")
 
 
-def lambert_w0(x: float, cfg: SolverConfig = DEFAULT_CONFIG) -> float:
-    """Principal branch W0 of w * exp(w) = x on [-1/e, inf); W0 >= -1."""
+def lambert_w0(x: float) -> float:
+    """Principal branch W0 of w * exp(w) = x on [-1/e, inf); W0 >= -1.
+    Halley iteration stops once its step is below 1e-12 relative."""
     if math.isnan(x):
         raise DomainError("lambert_w0: x is nan")
     if x < -_INV_E:
@@ -148,92 +142,9 @@ def lambert_w0(x: float, cfg: SolverConfig = DEFAULT_CONFIG) -> float:
             raise DomainError(f"lambert_w0 domain is [-1/e, inf); got {x}")
         return -1.0
     try:
-        return _pure.lambert_w0(x, cfg.rel_tol, cfg.max_iter)
+        return _kernels.lambert_w0(x)
     except ArithmeticError as exc:
         raise MaxIterExceeded(str(exc)) from None
-
-
-class MarginalIntegrand(record("MarginalIntegrand", "z n prior_family scale")):
-    """The H1 marginal-likelihood integrand
-    mu -> N(z; sqrt(n)*mu, 1) * prior(mu; 0, scale), with prior_family
-    "normal" or "cauchy".
-
-    It is an ordinary callable, but carries enough structure that
-    integrate_real_line can route it to the log-space quadrature kernel
-    and place split points that resolve both the likelihood spike and the
-    prior body.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, z: float, n: int, prior_family: str, scale: float):
-        if prior_family not in ("normal", "cauchy"):
-            raise DomainError(f"unknown prior family {prior_family!r}")
-        _check_sample_size(n)
-        if not scale > 0.0:
-            raise DomainError(f"prior scale must be positive, got {scale}")
-        return super().__new__(cls, z, n, prior_family, scale)
-
-    @property
-    def kind(self) -> int:
-        return _pure.PRIOR_NORMAL if self.prior_family == "normal" else _pure.PRIOR_CAUCHY
-
-    def __call__(self, mu: float) -> float:
-        return math.exp(
-            _pure.log_marginal_integrand(mu, self.z, math.sqrt(self.n), self.kind, self.scale)
-        )
-
-
-def marginal_log_integral(f: MarginalIntegrand,
-                          cfg: SolverConfig = DEFAULT_CONFIG) -> float:
-    """log of integrate_real_line(f) for a MarginalIntegrand, computed
-    fully in log space by adaptive quadrature."""
-    try:
-        return _pure.marginal_loglik(f.z, float(f.n), f.kind, f.scale, cfg.rel_tol)
-    except ArithmeticError as exc:
-        raise ConvergenceError(str(exc)) from None
-
-
-def integrate_real_line(f: Callable[[float], float],
-                        cfg: SolverConfig = DEFAULT_CONFIG, *,
-                        scale: float = 1.0,
-                        breakpoints: tuple[float, ...] = ()) -> float:
-    """Integral of a nonnegative f over the whole real line, with
-    estimated relative error at most cfg.rel_tol.
-
-    MarginalIntegrand instances take the kernel fast path.  Arbitrary
-    callables go through the same log-space quadrature as log f: the line
-    is split at ``breakpoints`` plus {-8*scale, 0, 8*scale}, finite pieces
-    go through adaptive Simpson, and the two tails are mapped through
-    mu = edge +- scale * tan(theta), which keeps Cauchy-weight tails
-    integrable where plain truncation fails.  ``scale`` should match the
-    width of the integrand's slowest-decaying factor.  Signed integrands
-    are not supported.
-
-    Raises DomainError naming mu where f(mu) is negative or NaN, and
-    ConvergenceError when f is +inf on the scan grid or the error
-    estimate cannot reach rel_tol within the subdivision budget.
-    """
-    if isinstance(f, MarginalIntegrand):
-        return math.exp(marginal_log_integral(f, cfg))
-    if not scale > 0.0:
-        raise DomainError(f"scale must be positive, got {scale}")
-    pts = {-8.0 * scale, 0.0, 8.0 * scale}
-    pts.update(float(p) for p in breakpoints)
-    points = sorted(pts)
-
-    def log_f(mu: float) -> float:
-        v = f(mu)
-        if v > 0.0:
-            return math.log(v)
-        if v == 0.0:
-            return -math.inf
-        raise DomainError(f"integrand must be nonnegative, got f({mu!r}) = {v!r}")
-
-    try:
-        return math.exp(_pure.integrate_log(log_f, points, scale, points, cfg.rel_tol))
-    except ArithmeticError as exc:
-        raise ConvergenceError(str(exc)) from None
 
 
 def std_normal_pdf(x: float) -> float:

@@ -17,7 +17,6 @@ from .bayes_factor import (
 )
 from .errors import DomainError
 from .flip import FlipMethod, flip_point, tau_star
-from .numerics import DEFAULT_CONFIG, SolverConfig
 
 __all__ = [
     "SweepRow",
@@ -112,21 +111,21 @@ def sweep_rows(setup: TestSetup, prior_family: str, scales: list[float]) -> list
     return rows
 
 
-def sweep_flip_row(setup: TestSetup, cfg: SolverConfig = DEFAULT_CONFIG) -> SweepRow | None:
+def sweep_flip_row(setup: TestSetup) -> SweepRow | None:
     """Trailing annotation row carrying k* and tau* for normal-prior
     sweeps; None when |z| <= 1 (no flip point exists)."""
     if abs(setup.z) <= 1.0:
         return None
-    fp = flip_point(setup.z, FlipMethod.BRACKETED, cfg)
+    fp = flip_point(setup.z, FlipMethod.BRACKETED)
     ts = tau_star(fp.k_star, setup.n)
     return SweepRow(ROW_FLIP, ts, fp.k_star, 1.0, 0.0, Direction.NEUTRAL)
 
 
-def table_rows(cfg: SolverConfig = DEFAULT_CONFIG) -> list[TableOneRow]:
+def table_rows() -> list[TableOneRow]:
     """Flip points and critical prior scales for the reference z grid."""
     rows = []
     for z in TABLE_Z_VALUES:
-        fp = flip_point(z, FlipMethod.BRACKETED, cfg)
+        fp = flip_point(z, FlipMethod.BRACKETED)
         rows.append(TableOneRow(
             z=z,
             z_squared=z * z,
@@ -138,7 +137,7 @@ def table_rows(cfg: SolverConfig = DEFAULT_CONFIG) -> list[TableOneRow]:
     return rows
 
 
-def figure_panel_a(points: int = 200, cfg: SolverConfig = DEFAULT_CONFIG) -> list[FigureRow]:
+def figure_panel_a(points: int = 200) -> list[FigureRow]:
     """BF01 vs k curves for the reference z grid, k log-spaced over
     [1e-2, 1e5], with one flip-point marker row per curve."""
     rows = []
@@ -147,12 +146,12 @@ def figure_panel_a(points: int = 200, cfg: SolverConfig = DEFAULT_CONFIG) -> lis
         for k in ks:
             res = BayesFactorResult.from_log(log_bf01(z, k))
             rows.append(FigureRow("a", z, k, res.bf01, res.log_bf01, res.direction, ROW_POINT))
-        fp = flip_point(z, FlipMethod.BRACKETED, cfg)
+        fp = flip_point(z, FlipMethod.BRACKETED)
         rows.append(FigureRow("a", z, fp.k_star, 1.0, 0.0, Direction.NEUTRAL, ROW_FLIP))
     return rows
 
 
-def figure_panel_b(points: int = 120, cfg: SolverConfig = DEFAULT_CONFIG) -> list[FigureRow]:
+def figure_panel_b(points: int = 120) -> list[FigureRow]:
     """BF01 vs tau for z = 2, n = 50 over tau in [0.1, 3], with marker
     rows at the two headline scales and a flip row at tau*."""
     setup = _FIGURE_B_SETUP
@@ -163,7 +162,7 @@ def figure_panel_b(points: int = 120, cfg: SolverConfig = DEFAULT_CONFIG) -> lis
     for tau in FIGURE_B_MARKER_TAUS:
         res = bf01(setup, NormalPrior(tau))
         rows.append(FigureRow("b", setup.z, tau, res.bf01, res.log_bf01, res.direction, ROW_MARKER))
-    fp = flip_point(setup.z, FlipMethod.BRACKETED, cfg)
+    fp = flip_point(setup.z, FlipMethod.BRACKETED)
     ts = tau_star(fp.k_star, setup.n)
     rows.append(FigureRow("b", setup.z, ts, 1.0, 0.0, Direction.NEUTRAL, ROW_FLIP))
     return rows

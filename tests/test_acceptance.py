@@ -19,13 +19,10 @@ from bayesflip.bayes_factor import (
     log_bf01,
     posterior_prob_h0,
 )
-from bayesflip.cauchy import (
-    CauchyPrior,
-    bf01_cauchy,
-    bf01_normal_via_quadrature,
-    cauchy_flip_scale,
-)
+from bayesflip.cauchy import CauchyPrior, bf01_cauchy, cauchy_flip_scale
 from bayesflip.flip import FlipMethod, flip_point, phi, phi_inverse, tau_star
+
+from _quadrature import bf01_normal_via_quadrature
 
 Z_GRID = (1.1, 1.5, 1.96, 2.0, 2.5, 3.0, 4.0, 5.0)
 

@@ -1,5 +1,6 @@
-"""Cauchy-prior Bayes factors via quadrature, the numerically located
-flip scale, and the normal-prior cross-check of the whole pipeline."""
+"""Cauchy-prior Bayes factors, the numerically located flip scale, and
+the quadrature oracle of ``tests/_quadrature.py`` against the normal
+closed form."""
 
 import math
 
@@ -7,14 +8,10 @@ import numpy as np
 import pytest
 
 from bayesflip.bayes_factor import NormalPrior, TestSetup, bf01, log_bf01
-from bayesflip.cauchy import (
-    CauchyPrior,
-    bf01_cauchy,
-    bf01_normal_via_quadrature,
-    cauchy_flip_scale,
-)
+from bayesflip.cauchy import CauchyPrior, bf01_cauchy, cauchy_flip_scale
 from bayesflip.errors import DomainError, NoFlipPoint
-from bayesflip.numerics import MarginalIntegrand, marginal_log_integral
+
+from _quadrature import MarginalIntegrand, bf01_normal_via_quadrature, marginal_log_integral
 
 SETUP_Z2_N50 = TestSetup(n=50, z=2.0)
 

@@ -147,6 +147,12 @@ class TestTauStar:
         with pytest.raises(DomainError):
             tau_star(1.0, 0)
 
+    @pytest.mark.parametrize("k_star,n", [(4.0, math.nan), (4.0, 2.5), (4.0, True),
+                                          (math.inf, 3), (math.nan, 3)])
+    def test_non_integer_n_or_non_finite_k_star(self, k_star, n):
+        with pytest.raises(DomainError):
+            tau_star(k_star, n)
+
 
 class TestReversalPair:
     def test_default_pair_for_reference_data(self):
@@ -239,6 +245,12 @@ class TestFlipPointDomainEdges:
     @pytest.mark.parametrize("method", [FlipMethod.BRACKETED, FlipMethod.LAMBERT_W])
     def test_overflowing_k_star_is_domain_error(self, z, method):
         with pytest.raises(DomainError, match=f"z = {z}"):
+            flip_point(z, method)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("method", [FlipMethod.BRACKETED, FlipMethod.LAMBERT_W])
+    def test_non_finite_z_is_named(self, z, method):
+        with pytest.raises(DomainError, match=f"must be finite, got z = {z}"):
             flip_point(z, method)
 
 

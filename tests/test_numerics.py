@@ -1,5 +1,6 @@
-"""Kernel checks: bracketed root finding, Lambert W, adaptive real-line
-quadrature, and the standard normal density/CDF."""
+"""Kernel checks: bracketed root finding, Lambert W, the standard normal
+density/CDF, and the adaptive real-line quadrature oracle of the tests
+(``tests/_quadrature.py``)."""
 
 import math
 
@@ -14,14 +15,14 @@ from bayesflip.errors import (
 )
 from bayesflip.numerics import (
     Bracket,
-    MarginalIntegrand,
     SolverConfig,
     find_root,
-    integrate_real_line,
     lambert_w0,
     std_normal_cdf,
     std_normal_pdf,
 )
+
+from _quadrature import MarginalIntegrand, integrate_real_line
 
 
 class TestBracketAndConfig:

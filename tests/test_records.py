@@ -12,9 +12,11 @@ from bayesflip.cauchy import CauchyPrior
 from bayesflip.cli import RunConfig
 from bayesflip.errors import DomainError
 from bayesflip.flip import FlipPointResult, ReversalPair, flip_point, reversal_pair
-from bayesflip.numerics import Bracket, MarginalIntegrand, SolverConfig
+from bayesflip.numerics import Bracket, SolverConfig
 from bayesflip.report import FigureRow, SweepRow, TableOneRow, sweep_flip_row, table_rows
 from bayesflip.svg import Marker, Series
+
+from _quadrature import MarginalIntegrand
 
 SETUP = TestSetup(50, 2.0)
 SAMPLES = [

@@ -2,6 +2,8 @@
 name in fresh processes rather than by timing, plus the SVG escape that
 replaced ``xml.sax.saxutils``."""
 
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -60,6 +62,39 @@ def package_modules() -> list[str]:
         if parts[-1] != "__main__":
             names.append(".".join(parts))
     return names
+
+
+# the quadrature oracle that moved to tests/_quadrature.py
+MOVED_TO_TESTS = ("PRIOR_NORMAL", "PRIOR_CAUCHY", "log_marginal_integrand", "_shifted_exp",
+                  "adaptive_simpson", "_simpson_split", "_spans", "integrate_log",
+                  "marginal_loglik", "MarginalIntegrand", "marginal_log_integral",
+                  "integrate_real_line", "bf01_normal_via_quadrature")
+
+
+def test_no_module_ships_the_quadrature():
+    for name in package_modules():
+        module = importlib.import_module(name)
+        assert [m for m in MOVED_TO_TESTS if hasattr(module, m)] == [], name
+
+
+def test_only_find_root_takes_a_solver_config():
+    takes_cfg = set()
+    for name in package_modules():
+        for attr, fn in vars(importlib.import_module(name)).items():
+            if (not attr.startswith("_") and inspect.isfunction(fn) and fn.__module__ == name
+                    and "cfg" in inspect.signature(fn).parameters):
+                takes_cfg.add(f"{name}.{attr}")
+    assert takes_cfg == {"bayesflip.numerics.find_root"}
+
+
+def test_kernels_are_one_module():
+    """perfbench/tracer.py counts calls into modules named bayesflip._kernels
+    as its ``kernels`` layer."""
+    from bayesflip import _kernels
+
+    assert not hasattr(_kernels, "__path__")
+    for fn in (_kernels.lambert_w0, _kernels.log_re_faddeeva):
+        assert fn.__module__ == "bayesflip._kernels"
 
 
 def test_runtime_is_stdlib_only():
@@ -148,7 +183,7 @@ def test_import_bayesflip_loads_no_submodule():
 def test_bf_normal_loads_only_closed_form_modules():
     mods = loaded_by(bf_argv("normal"))
     assert not {"bayesflip.flip", "bayesflip.numerics", "bayesflip.cauchy",
-                "bayesflip._kernels", "bayesflip._kernels.pure"} & mods
+                "bayesflip._kernels"} & mods
     assert "bayesflip.bayes_factor" in mods
 
 

@@ -1,6 +1,7 @@
 """The closed-form Voigt (Faddeeva) route for Cauchy-prior Bayes factors
 and flip scales, against oracles that share none of its code: mpmath at
-50 digits, scipy's wofz, and the adaptive quadrature."""
+50 digits, scipy's wofz, and the adaptive quadrature of
+``tests/_quadrature.py``."""
 
 import math
 
@@ -9,11 +10,13 @@ import numpy as np
 import pytest
 from scipy.special import wofz
 
-from bayesflip._kernels import pure
+from bayesflip import _kernels
 from bayesflip.bayes_factor import TestSetup
 from bayesflip.cauchy import Z_CRIT, CauchyPrior, bf01_cauchy, cauchy_flip_scale
 from bayesflip.errors import DomainError, NoFlipPoint
-from bayesflip.numerics import MarginalIntegrand, log_std_normal_pdf, marginal_log_integral
+from bayesflip.numerics import log_std_normal_pdf
+
+from _quadrature import MarginalIntegrand, marginal_log_integral
 
 MP_DPS = 50
 
@@ -187,11 +190,11 @@ class TestWeidemanCoefficients:
     def test_literals_match_regeneration(self):
         """Weideman (1994): the N coefficients of p from the FFT of
         exp(-t^2) (L^2 + t^2) sampled at t = L tan(theta/2)."""
-        n = len(pure._WEIDEMAN_A)
+        n = len(_kernels._WEIDEMAN_A)
         m = 2 * n
         L = math.sqrt(n / math.sqrt(2.0))
         t = L * np.tan(np.arange(-m + 1, m) * np.pi / m / 2.0)
         f = np.concatenate([[0.0], np.exp(-t * t) * (L * L + t * t)])
         a = np.real(np.fft.fft(np.fft.fftshift(f))) / (2 * m)
-        assert pure._WEIDEMAN_L == pytest.approx(L, rel=1e-15)
-        np.testing.assert_allclose(pure._WEIDEMAN_A, a[1:n + 1][::-1], rtol=0, atol=1e-15)
+        assert _kernels._WEIDEMAN_L == pytest.approx(L, rel=1e-15)
+        np.testing.assert_allclose(_kernels._WEIDEMAN_A, a[1:n + 1][::-1], rtol=0, atol=1e-15)
