@@ -27,8 +27,7 @@ _EXPORTS = {
                "NoFlipPoint", "NoSignChange", "NotAReversal"),
     "flip": ("FlipMethod", "FlipPointResult", "ReversalPair", "flip_point", "phi",
              "phi_inverse", "reversal_pair", "tau_star", "validate_pair"),
-    "numerics": ("DEFAULT_CONFIG", "Bracket", "SolverConfig", "find_root", "lambert_w0",
-                 "std_normal_cdf", "std_normal_pdf"),
+    "numerics": ("find_root", "lambert_w0", "std_normal_cdf", "std_normal_pdf"),
 }
 _SUBMODULES = ("bayes_factor", "cauchy", "cli", "errors", "flip", "numerics", "report", "svg")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,18 +1,19 @@
 """CSV and JSON text of the CLI's tables.
 
 A table has ``name``, ``header`` (unique column names) and ``rows``
-(sequences of cells, one per column, at least one row); cells are
-``None``, ``int``, ``float`` or ``str``.  Both writers keep full float
-precision: ``str`` and ``repr`` of a float are equal and round-trip.
+(sequences of cells, one per column, at least one row).  A cell that is
+not ``None``, an ``int`` or a ``float`` (a ``Direction``, say) is written
+as its ``str``.  Both writers keep full float precision: ``str`` and
+``repr`` of a float are equal and round-trip.
 
 CSV: a header line, then one line per row; ``None`` is an empty cell and
 every other cell is its ``str``.  Cells are not quoted.
 
 JSON: exactly the text of ``json.dumps(obj, indent=2)``, where each row
-is the object ``dict(zip(header, row))``.  Each table's rows are filled
-into one ``%``-template, because ``json.dumps`` with an indent runs
-CPython's pure-Python encoder.  ``json`` is imported only when JSON is
-written.
+is the object ``dict(zip(header, row))``, its cells taken as above.
+Each table's rows are filled into one ``%``-template, because
+``json.dumps`` with an indent runs CPython's pure-Python encoder.
+``json`` is imported only when JSON is written.
 """
 
 __all__ = ["csv_text", "json_text"]
@@ -33,12 +34,11 @@ def json_text(tables, one_object: bool) -> str:
     from math import isfinite
 
     def cell(v):
-        t = type(v)
-        if t is float:
-            return repr(v) if isfinite(v) else dumps(v)
-        if t is str:
-            return quote(v)
-        return dumps(v)  # None and ints
+        if type(v) is float and isfinite(v):
+            return repr(v)
+        if v is None or isinstance(v, (int, float)):
+            return dumps(v)
+        return quote(str(v))
 
     def template(header, indent):
         """%-template of one row object whose closing brace is at indent."""

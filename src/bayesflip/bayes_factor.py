@@ -62,6 +62,9 @@ class Direction(Enum):
     NEUTRAL = "neutral"
     FAVOURS_H0 = "favours_h0"
 
+    def __str__(self) -> str:
+        return self.value
+
 
 class TestSetup(record("TestSetup", "n z sigma")):
     """Data summary: sample size n and z-statistic z = sqrt(n) * xbar.
@@ -132,11 +135,14 @@ class BayesFactorResult(record("BayesFactorResult", "bf01 log_bf01 direction")):
 def log_bf01(z: float, k: float) -> float:
     """log BF01(z; k) = 0.5*log(1+k) - z^2 k / (2 (1+k)).
 
-    Equals 0 at k = 0 for every z and is finite for all finite inputs.
+    Equals 0 at k = 0 for every z; DomainError where it is not finite.
     """
     if not 0.0 <= k < math.inf:
         raise DomainError(f"k must be nonnegative and finite, got {k}")
-    return 0.5 * math.log1p(k) - z * z * k / (2.0 * (1.0 + k))
+    log_bf = 0.5 * math.log1p(k) - z * z * k / (2.0 * (1.0 + k))
+    if not math.isfinite(log_bf):
+        raise DomainError(f"log BF01 is not a finite float for z = {z}, k = {k}")
+    return log_bf
 
 
 def bf01(setup: TestSetup, prior: NormalPrior) -> BayesFactorResult:
@@ -147,20 +153,28 @@ def bf01(setup: TestSetup, prior: NormalPrior) -> BayesFactorResult:
 def dlogbf_dk(z: float, k: float) -> float:
     """Exact derivative of log BF01 in k: ((1+k) - z^2) / (2 (1+k)^2).
 
-    Negative at k = 0 when |z| > 1, zero at k = z^2 - 1.
+    Negative at k = 0 when |z| > 1, zero at k = z^2 - 1.  Raises
+    DomainError for a negative k and where the result is not finite.
     """
     if k < 0.0:
         raise DomainError(f"k must be nonnegative, got {k}")
     kp1 = 1.0 + k
-    return (kp1 - z * z) / (2.0 * kp1 * kp1)
+    slope = (kp1 - z * z) / (2.0 * kp1 * kp1)
+    if not math.isfinite(slope):
+        raise DomainError(f"dlogBF01/dk is not a finite float for z = {z}, k = {k}")
+    return slope
 
 
 def bf_argmin_k(z: float) -> float | None:
     """Location k = z^2 - 1 of the Bayes-factor minimum when |z| > 1;
-    None when |z| <= 1 (BF01 is nondecreasing on k >= 0)."""
+    None when |z| <= 1 (BF01 is nondecreasing on k >= 0).  Raises
+    DomainError for a non-finite z or one whose z^2 overflows."""
     if abs(z) <= 1.0:
         return None
-    return z * z - 1.0
+    k = z * z - 1.0
+    if not k < math.inf:  # nan fails too
+        raise DomainError(f"z^2 - 1 is not a finite float for z = {z}")
+    return k
 
 
 def posterior_prob_h0(bf: float, pi0: float = 0.5) -> float:
@@ -171,13 +185,15 @@ def posterior_prob_h0(bf: float, pi0: float = 0.5) -> float:
     (at pi0 = 1/2), so the flip point moves the decision, not just the
     evidence summary.
     """
-    if not bf > 0.0:
-        raise DomainError(f"bf01 must be positive, got {bf}")
+    if not 0.0 < bf < math.inf:
+        raise DomainError(f"bf01 must be positive and finite, got {bf}")
     if not 0.0 < pi0 < 1.0:
         raise DomainError(f"pi0 must lie in (0, 1), got {pi0}")
     return pi0 * bf / (pi0 * bf + 1.0 - pi0)
 
 
 def two_sided_p(z: float) -> float:
-    """Two-sided p-value 2 * (1 - Phi(|z|)), via erfc for tail accuracy."""
+    """Two-sided p-value 2 * (1 - Phi(|z|)) of a finite z, via erfc."""
+    if not math.isfinite(z):
+        raise DomainError(f"z-statistic must be finite, got {z}")
     return math.erfc(abs(z) / _SQRT2)

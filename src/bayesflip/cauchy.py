@@ -23,7 +23,7 @@ from ._kernels import log_re_faddeeva
 from ._record import record
 from .bayes_factor import BayesFactorResult, TestSetup
 from .errors import ConvergenceError, DomainError, NoFlipPoint
-from .numerics import Bracket, find_root
+from .numerics import find_root
 
 __all__ = ["CauchyPrior", "Z_CRIT", "bf01_cauchy", "cauchy_flip_scale"]
 
@@ -100,7 +100,7 @@ def cauchy_flip_scale(setup: TestSetup) -> float:
             if lo < -_MAX_BRACKET_STEPS:
                 raise ConvergenceError(
                     f"log BF01 does not resolve below 0 for |z| = {z}, too close to {Z_CRIT}")
-        log_gamma += find_root(f, Bracket(lo, lo + 1.0))
+        log_gamma += find_root(f, lo, lo + 1.0)
     log_r = log_gamma - 0.5 * math.log(setup.n)
     try:
         return math.exp(log_r)

@@ -6,10 +6,11 @@ machine output carrying full float precision, written to --out when
 given.  Exit codes: 0 success, 1 computation/domain error or an output
 file that cannot be written, 2 usage error.
 
-Each handler returns its human text, its data as ``Table`` records of
-plain cells, and its SVG renderers; ``_emit`` renders only the format
-asked for.  Every invocation is a fresh process, so ``cauchy``, ``flip``,
-``report``, ``svg`` and the CSV/JSON writers are imported inside the
+Each handler takes the parsed argparse namespace and returns its human
+text, its data as ``Table`` records, and its SVG renderers; ``_emit``
+renders only the format asked for; calls of ``main`` in one process
+share one parser.  Every invocation is a fresh process, so ``cauchy``,
+``flip``, ``report``, ``svg`` and the CSV/JSON writers are imported in the
 handlers and renderers that use them, and the package modules are called
 as module attributes (which a tracer patching module namespaces still
 sees): a command loads only the modules it runs.
@@ -18,6 +19,7 @@ sees): a command loads only the modules it runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -33,19 +35,10 @@ _DIRECTION_TEXT = {
 }
 
 
-class RunConfig(record("RunConfig",
-                       "command parameters output_format output_path precision")):
-    """Validated invocation: the subcommand, a dict of its scalar
-    parameters, the machine output format (None for human-readable text),
-    the output path (None for stdout) and the human precision."""
-
-    __slots__ = ()
-
-
 class Table(record("Table", "name header rows")):
     """One dataset of machine output: its name (the JSON key and file
     suffix when a command writes several), column names, and rows of
-    cells (None, int, float or str)."""
+    cells (see ``_writers``).  Report records are rows as they are."""
 
     __slots__ = ()
 
@@ -58,7 +51,10 @@ class _OutputError(BayesFlipError):
     """An output file could not be written."""
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built on the first call and shared by every
+    later one: parsing leaves it unchanged, and callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="bayesflip",
         description="Bayes factors for the normal point null, prior-scale "
@@ -116,10 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
+def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Flag-level validation; anything wrong here is a usage error (exit 2)."""
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("command", "format", "out", "precision")}
+    params = vars(args)
     if args.precision < 0:
         parser.error("--precision must be nonnegative")
     for key in ("z", "scale", "scale_min", "scale_max"):
@@ -143,34 +138,30 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunC
             parser.error("--points-a and --points-b must be >= 2")
         if args.format == "svg" and args.out is None:
             parser.error("figure1 --format svg needs --out (two documents)")
-    return RunConfig(command=args.command, parameters=params,
-                     output_format=args.format, output_path=args.out,
-                     precision=args.precision)
 
 
 # --- command handlers -----------------------------------------------------
 
-def _cmd_bf(run: RunConfig) -> tuple:
-    p = run.parameters
-    setup = TestSetup(n=p["n"], z=p["z"])
-    if p["prior"] == "normal":
-        prior = NormalPrior(p["scale"])
+def _cmd_bf(args: argparse.Namespace) -> tuple:
+    setup = TestSetup(n=args.n, z=args.z)
+    if args.prior == "normal":
+        prior = NormalPrior(args.scale)
         res = bf01(setup, prior)
         k = prior.k(setup)
     else:
         from . import cauchy
 
-        res = cauchy.bf01_cauchy(setup, cauchy.CauchyPrior(p["scale"]))
+        res = cauchy.bf01_cauchy(setup, cauchy.CauchyPrior(args.scale))
         k = None
     # BF01 underflows to 0.0 below log BF01 ~ -745 (|z| >~ 39), where the
     # posterior of H0, below the smallest float, correctly rounds to 0.0
     post = posterior_prob_h0(res.bf01) if res.bf01 > 0.0 else 0.0
-    d = run.precision
+    d = args.precision
     human = "\n".join([
-        f"z            {p['z']:.{d}f}",
-        f"n            {p['n']}",
-        f"prior        {p['prior']}",
-        f"scale        {p['scale']:.{d}f}",
+        f"z            {args.z:.{d}f}",
+        f"n            {args.n}",
+        f"prior        {args.prior}",
+        f"scale        {args.scale:.{d}f}",
         f"k            {'-' if k is None else f'{k:.{d}f}'}",
         f"bf01         {res.bf01:.{d}f}",
         f"log_bf01     {res.log_bf01:.{d}f}",
@@ -179,27 +170,23 @@ def _cmd_bf(run: RunConfig) -> tuple:
     ])
     header = ("z", "n", "prior", "scale", "k", "bf01", "log_bf01",
               "direction", "posterior_prob_h0")
-    row = (p["z"], p["n"], p["prior"], p["scale"], k,
-           res.bf01, res.log_bf01, res.direction.value, post)
+    row = (args.z, args.n, args.prior, args.scale, k,
+           res.bf01, res.log_bf01, res.direction, post)
     return human, [Table("bf", header, [row])], []
 
 
-def _cmd_flip(run: RunConfig) -> tuple:
+def _cmd_flip(args: argparse.Namespace) -> tuple:
     from . import flip
 
-    p = run.parameters
-    methods = {
-        "bracketed": (flip.FlipMethod.BRACKETED,),
-        "lambert_w": (flip.FlipMethod.LAMBERT_W,),
-        "both": (flip.FlipMethod.BRACKETED, flip.FlipMethod.LAMBERT_W),
-    }[p["method"]]
-    results = [flip.flip_point(p["z"], m) for m in methods]
-    n = p["n"]
+    methods = (list(flip.FlipMethod) if args.method == "both"
+               else [flip.FlipMethod(args.method)])
+    results = [flip.flip_point(args.z, m) for m in methods]
+    n = args.n
     header = ("z", "method", "k_star", "residual", "tau_star")
     rows = [(r.z, r.method.value, r.k_star, r.residual,
              flip.tau_star(r.k_star, n) if n is not None else None) for r in results]
-    d = run.precision
-    lines = [f"z            {p['z']:.{d}f}"]
+    d = args.precision
+    lines = [f"z            {args.z:.{d}f}"]
     for r in results:
         ts = (f"   tau*(n={n}) = {flip.tau_star(r.k_star, n):.{d}f}"
               if n is not None else "")
@@ -211,19 +198,17 @@ def _cmd_flip(run: RunConfig) -> tuple:
     return "\n".join(lines), [Table("flip", header, rows)], []
 
 
-def _cmd_sweep(run: RunConfig) -> tuple:
+def _cmd_sweep(args: argparse.Namespace) -> tuple:
     from . import report
 
-    p = run.parameters
-    setup = TestSetup(n=p["n"], z=p["z"])
-    scales = report.scale_grid(p["scale_min"], p["scale_max"], p["points"], p["spacing"])
-    rows = report.sweep_rows(setup, p["prior"], scales)
-    if p["prior"] == "normal":
+    setup = TestSetup(n=args.n, z=args.z)
+    scales = report.scale_grid(args.scale_min, args.scale_max, args.points, args.spacing)
+    rows = report.sweep_rows(setup, args.prior, scales)
+    if args.prior == "normal":
         flip_row = report.sweep_flip_row(setup)
         if flip_row is not None:
             rows = rows + [flip_row]
-    cells = [(r.kind, r.scale, r.k, r.bf01, r.log_bf01, r.direction.value) for r in rows]
-    d = run.precision
+    d = args.precision
     lines = [f"{'kind':8s} {'scale':>12s} {'bf01':>12s} direction"]
     lines.extend(
         f"{r.kind:8s} {r.scale:12.{d}f} {r.bf01:12.{d}f} {_DIRECTION_TEXT[r.direction]}"
@@ -236,20 +221,19 @@ def _cmd_sweep(run: RunConfig) -> tuple:
         points = [r for r in rows if r.kind == report.ROW_POINT]
         markers = [svg.Marker(r.scale, r.bf01, label=f"scale*={r.scale:.3g}")
                    for r in rows if r.kind == report.ROW_FLIP]
-        chart = svg.line_chart(
-            [svg.Series(f"z={p['z']:g}", tuple(r.scale for r in points),
+        return svg.line_chart(
+            [svg.Series(f"z={args.z:g}", tuple(r.scale for r in points),
                         tuple(r.bf01 for r in points))],
             markers,
-            title=f"BF01 vs prior scale ({p['prior']}, z={p['z']:g}, n={p['n']})",
+            title=f"BF01 vs prior scale ({args.prior}, z={args.z:g}, n={args.n})",
             x_label="prior scale", y_label="BF01",
-            log_x=(p["spacing"] == "log"), ref_y=1.0,
+            log_x=(args.spacing == "log"), ref_y=1.0,
         )
-        return chart
 
-    return "\n".join(lines), [Table("sweep", report.SweepRow._fields, cells)], [_svg]
+    return "\n".join(lines), [Table("sweep", report.SweepRow._fields, rows)], [_svg]
 
 
-def _cmd_table1(run: RunConfig) -> tuple:
+def _cmd_table1(args: argparse.Namespace) -> tuple:
     from . import report
 
     rows = report.table_rows()
@@ -263,13 +247,12 @@ def _cmd_table1(run: RunConfig) -> tuple:
     return "\n".join(lines), [Table("table1", report.TableOneRow._fields, rows)], []
 
 
-def _cmd_figure1(run: RunConfig) -> tuple:
+def _cmd_figure1(args: argparse.Namespace) -> tuple:
     from . import report
 
-    p = run.parameters
-    panel_a = report.figure_panel_a(p["points_a"])
-    panel_b = report.figure_panel_b(p["points_b"])
-    d = run.precision
+    panel_a = report.figure_panel_a(args.points_a)
+    panel_b = report.figure_panel_b(args.points_b)
+    d = args.precision
     human = "\n".join([
         f"panel a: {len(panel_a)} rows (BF01 vs k, z in "
         f"{', '.join(f'{z:g}' for z in report.TABLE_Z_VALUES)}; kind=flip rows mark k*)",
@@ -306,24 +289,21 @@ def _cmd_figure1(run: RunConfig) -> tuple:
             ref_y=1.0, ref_x=flips[0].x if flips else None,
         )
 
-    tables = [Table(name, report.FigureRow._fields,
-                    [(r.panel, r.z, r.x, r.bf01, r.log_bf01, r.direction.value, r.kind)
-                     for r in rows])
-              for name, rows in (("panel_a", panel_a), ("panel_b", panel_b))]
+    tables = [Table("panel_a", report.FigureRow._fields, panel_a),
+              Table("panel_b", report.FigureRow._fields, panel_b)]
     return human, tables, [_svg_a, _svg_b]
 
 
-def _cmd_paradox(run: RunConfig) -> tuple:
+def _cmd_paradox(args: argparse.Namespace) -> tuple:
     from . import flip
 
-    p = run.parameters
-    setup = TestSetup(n=p["n"], z=p["z"])
+    setup = TestSetup(n=args.n, z=args.z)
     fp = flip.flip_point(setup.z)
     ts = flip.tau_star(fp.k_star, setup.n)
-    pair = flip.reversal_pair(setup, p["spread"])
+    pair = flip.reversal_pair(setup, args.spread)
     post1 = posterior_prob_h0(pair.bf1)
     post2 = posterior_prob_h0(pair.bf2)
-    d = run.precision
+    d = args.precision
     human = "\n".join([
         f"z = {setup.z:.{d}f}, n = {setup.n}",
         f"flip point k* = {fp.k_star:.{d}f}; critical prior sd tau* = {ts:.{d}f}",
@@ -337,7 +317,7 @@ def _cmd_paradox(run: RunConfig) -> tuple:
     header = ("z", "n", "k_star", "tau_star", "tau1", "tau2", "bf1", "bf2",
               "posterior_h0_tau1", "posterior_h0_tau2", "direction1", "direction2")
     row = (setup.z, setup.n, fp.k_star, ts, pair.tau1, pair.tau2, pair.bf1, pair.bf2,
-           post1, post2, Direction.FAVOURS_H1.value, Direction.FAVOURS_H0.value)
+           post1, post2, Direction.FAVOURS_H1, Direction.FAVOURS_H0)
     return human, [Table("paradox", header, [row])], []
 
 
@@ -374,17 +354,17 @@ def _suffixed(out: str, tag: str, ext: str) -> str:
     return os.path.join(head, f"{stem}_{tag}{ext}")
 
 
-def _emit(run: RunConfig, human: str, tables: list[Table], svgs: list) -> None:
-    """Render run's format only: human text, one JSON document, or one CSV
+def _emit(args: argparse.Namespace, human: str, tables: list[Table], svgs: list) -> None:
+    """Render args.format only: human text, one JSON document, or one CSV
     or SVG document per table (svgs holds one renderer per table)."""
-    fmt, out = run.output_format, run.output_path
+    fmt, out = args.format, args.out
     if fmt is None:
         print(human)
         return
     if fmt == "json":
         from ._writers import json_text
 
-        _write(json_text(tables, run.command in _ONE_OBJECT), out)
+        _write(json_text(tables, args.command in _ONE_OBJECT), out)
         return
     if fmt == "csv":
         from ._writers import csv_text
@@ -404,9 +384,9 @@ def _emit(run: RunConfig, human: str, tables: list[Table], svgs: list) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    run = _validate(parser, args)
+    _validate(parser, args)
     try:
-        _emit(run, *_HANDLERS[run.command](run))
+        _emit(args, *_HANDLERS[args.command](args))
     except BayesFlipError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

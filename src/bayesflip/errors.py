@@ -5,6 +5,9 @@ provoke maps onto one of these types so the CLI can translate failures
 into stable exit codes.
 """
 
+__all__ = ["BayesFlipError", "ConvergenceError", "DomainError", "MaxIterExceeded",
+           "NoFlipPoint", "NoSignChange", "NotAReversal"]
+
 
 class BayesFlipError(Exception):
     """Base class for all package errors."""

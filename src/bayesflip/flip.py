@@ -22,7 +22,7 @@ from enum import Enum
 from ._record import record
 from .bayes_factor import Direction, NormalPrior, TestSetup, _check_sample_size, bf01
 from .errors import ConvergenceError, DomainError, NoFlipPoint, NotAReversal
-from .numerics import Bracket, SolverConfig, find_root, lambert_w0
+from .numerics import find_root, lambert_w0
 
 __all__ = [
     "FlipMethod",
@@ -57,9 +57,6 @@ _LOG_MAX_FLOAT = math.log(_MAX_FLOAT)
 # below 1e-17 relative); above it the closed form loses at most ~1e-13.
 _PHI_SERIES_K = 0.01
 
-# The phi solve stops on a relative interval width alone (see _solve_phi).
-_PHI_SOLVE = SolverConfig(abs_tol=0.0)
-
 
 class FlipPointResult(record("FlipPointResult", "k_star residual method z")):
     """Flip point k* with the residual of its characterizing equation and
@@ -78,8 +75,8 @@ class ReversalPair(record("ReversalPair", "tau1 tau2 tau_star bf1 bf2")):
 def phi(k: float) -> float:
     """phi(k) = (1+k) log(1+k) / k: strictly increasing bijection from
     (0, inf) onto (1, inf), with phi(0+) = 1; finite for every finite k."""
-    if not k > 0.0:
-        raise DomainError(f"phi domain is k > 0, got {k}")
+    if not 0.0 < k < math.inf:
+        raise DomainError(f"phi domain is 0 < k < inf, got {k}")
     return (1.0 + k) * (math.log1p(k) / k)
 
 
@@ -122,7 +119,7 @@ def _solve_phi(c: float) -> float | None:
     hi = math.expm1(c + 1.5) if c + 1.5 < _LOG_MAX_FLOAT else _MAX_FLOAT
     if not _phi_minus_one(hi) > c:
         return None
-    return find_root(lambda k: _phi_minus_one(k) - c, Bracket(lo, hi), _PHI_SOLVE)
+    return find_root(lambda k: _phi_minus_one(k) - c, lo, hi, abs_tol=0.0)
 
 
 def _no_finite_k_star(z: float) -> DomainError:

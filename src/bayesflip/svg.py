@@ -15,7 +15,9 @@ __all__ = ["Series", "Marker", "line_chart", "PALETTE"]
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+_WIDTH, _HEIGHT = 720, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 30, 46
+_MARKER_COLOR = PALETTE[1]
 
 
 def _escape(text: str) -> str:
@@ -30,7 +32,7 @@ class Series(record("Series", "label xs ys color", defaults=(PALETTE[0],))):
     __slots__ = ()
 
 
-class Marker(record("Marker", "x y label color", defaults=("", "#d62728"))):
+class Marker(record("Marker", "x y label", defaults=("",))):
     """One circle marker at (x, y), labelled when label is not empty."""
 
     __slots__ = ()
@@ -68,9 +70,8 @@ def _fmt(v: float) -> str:
 def line_chart(series: list[Series], markers: list[Marker] = (), *,
                title: str = "", x_label: str = "", y_label: str = "",
                log_x: bool = False, log_y: bool = False,
-               ref_y: float | None = None, ref_x: float | None = None,
-               width: int = 720, height: int = 480) -> str:
-    """Render the chart as an SVG document string."""
+               ref_y: float | None = None, ref_x: float | None = None) -> str:
+    """Render the chart, 720 x 480 pixels, as an SVG document string."""
     tx = (lambda v: math.log10(v)) if log_x else (lambda v: v)
     ty = (lambda v: math.log10(v)) if log_y else (lambda v: v)
 
@@ -91,8 +92,8 @@ def line_chart(series: list[Series], markers: list[Marker] = (), *,
     x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
     y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
 
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(v: float) -> float:
         return _MARGIN_L + (tx(v) - x_lo) / (x_hi - x_lo) * plot_w
@@ -101,12 +102,12 @@ def line_chart(series: list[Series], markers: list[Marker] = (), *,
         return _MARGIN_T + (y_hi - ty(v)) / (y_hi - y_lo) * plot_h
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     if title:
-        out.append(f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
+        out.append(f'<text x="{_WIDTH / 2:.1f}" y="18" text-anchor="middle" '
                    f'font-size="14">{_escape(title)}</text>')
 
     # axes box
@@ -117,7 +118,7 @@ def line_chart(series: list[Series], markers: list[Marker] = (), *,
     y_ticks = _decade_ticks(y_lo, y_hi) if log_y else _nice_ticks(y_lo, y_hi)
     for t in x_ticks:
         x = px(t)
-        if not _MARGIN_L - 0.5 <= x <= width - _MARGIN_R + 0.5:
+        if not _MARGIN_L - 0.5 <= x <= _WIDTH - _MARGIN_R + 0.5:
             continue
         out.append(f'<line x1="{x:.1f}" y1="{_MARGIN_T + plot_h}" x2="{x:.1f}" '
                    f'y2="{_MARGIN_T + plot_h + 5}" stroke="#333"/>')
@@ -125,14 +126,14 @@ def line_chart(series: list[Series], markers: list[Marker] = (), *,
                    f'text-anchor="middle">{_fmt(t)}</text>')
     for t in y_ticks:
         y = py(t)
-        if not _MARGIN_T - 0.5 <= y <= height - _MARGIN_B + 0.5:
+        if not _MARGIN_T - 0.5 <= y <= _HEIGHT - _MARGIN_B + 0.5:
             continue
         out.append(f'<line x1="{_MARGIN_L - 5}" y1="{y:.1f}" x2="{_MARGIN_L}" '
                    f'y2="{y:.1f}" stroke="#333"/>')
         out.append(f'<text x="{_MARGIN_L - 8}" y="{y + 4:.1f}" '
                    f'text-anchor="end">{_fmt(t)}</text>')
     if x_label:
-        out.append(f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{height - 10}" '
+        out.append(f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 10}" '
                    f'text-anchor="middle">{_escape(x_label)}</text>')
     if y_label:
         yc = _MARGIN_T + plot_h / 2
@@ -158,10 +159,10 @@ def line_chart(series: list[Series], markers: list[Marker] = (), *,
                    f'stroke-width="1.6"/>')
     for m in markers:
         out.append(f'<circle cx="{px(m.x):.2f}" cy="{py(m.y):.2f}" r="3.5" '
-                   f'fill="{m.color}" stroke="white" stroke-width="1"/>')
+                   f'fill="{_MARKER_COLOR}" stroke="white" stroke-width="1"/>')
         if m.label:
             out.append(f'<text x="{px(m.x) + 6:.1f}" y="{py(m.y) - 6:.1f}" '
-                       f'fill="{m.color}">{_escape(m.label)}</text>')
+                       f'fill="{_MARKER_COLOR}">{_escape(m.label)}</text>')
 
     # legend, top-right inside the plot box
     for i, s in enumerate(series):

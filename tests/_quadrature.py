@@ -15,7 +15,6 @@ import math
 from bayesflip._record import record
 from bayesflip.bayes_factor import BayesFactorResult, _check_sample_size
 from bayesflip.errors import ConvergenceError, DomainError
-from bayesflip.numerics import log_std_normal_pdf
 
 REL_TOL = 1e-12
 
@@ -29,6 +28,11 @@ _TINY = 1e-300
 _THETA_HI = math.pi / 2.0
 _MIN_DEPTH = 5
 _MAX_DEPTH = 48
+
+
+def log_std_normal_pdf(x):
+    """Log of the standard normal density (no underflow for large |x|)."""
+    return -_LOG_SQRT_2PI - 0.5 * x * x
 
 
 def log_marginal_integrand(mu, z, sqrt_n, kind, scale):

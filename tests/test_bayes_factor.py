@@ -85,7 +85,7 @@ class TestBf01Wrapper:
         (1.0, 10.4, 0.1, Direction.FAVOURS_H0),
         (2.0, 20.7, 0.2, Direction.FAVOURS_H0),
         (0.05, 0.62, 0.01, Direction.FAVOURS_H1),
-    ])
+    ], ids=lambda v: f"Direction.{v.name}" if isinstance(v, Direction) else None)
     def test_large_sample_scenario(self, tau, expected, tol, direction):
         res = bf01(TestSetup(n=5000, z=1.96), NormalPrior(tau))
         assert res.bf01 == pytest.approx(expected, abs=tol)
@@ -253,3 +253,25 @@ def test_log_bf01_rejects_non_finite_k(k):
 def test_overflowing_prior_precision_names_k():
     with pytest.raises(DomainError, match="k must be nonnegative and finite, got inf"):
         bf01(TestSetup(n=50, z=2.0), NormalPrior(1e307))
+
+
+@pytest.mark.parametrize("fn,args,names", [
+    (two_sided_p, (math.nan,), "nan"),
+    (two_sided_p, (math.inf,), "inf"),
+    (log_bf01, (math.nan, 1.0), "z = nan"),
+    (log_bf01, (math.inf, 1.0), "z = inf"),
+    (log_bf01, (math.inf, 0.0), "z = inf"),
+    (log_bf01, (1e200, 1.0), "z = 1e+200"),
+    (bf_argmin_k, (math.nan,), "z = nan"),
+    (bf_argmin_k, (math.inf,), "z = inf"),
+    (bf_argmin_k, (1e200,), "z = 1e+200"),
+    (dlogbf_dk, (2.0, math.nan), "nan"),
+    (dlogbf_dk, (2.0, math.inf), "inf"),
+    (dlogbf_dk, (math.nan, 1.0), "z = nan"),
+    (dlogbf_dk, (1e200, 1.0), "z = 1e+200"),
+    (posterior_prob_h0, (math.inf,), "inf"),
+])
+def test_bare_inputs_give_a_finite_value_or_domain_error(fn, args, names):
+    """Each of these returned nan or an infinity before."""
+    with pytest.raises(DomainError, match=re.escape(names)):
+        fn(*args)

@@ -337,3 +337,35 @@ class TestHugeScaleBounds:
         assert len(lines) == 1, cp.stderr
         assert lines[0].startswith("error: sqrt(n) * r overflows a float (n = 50, r = ")
         assert "inf" not in lines[0]
+
+
+class TestParserReuse:
+    """main() parses every call with one parser, built once per process."""
+
+    BF = ["bf", "--z", "2", "--n", "50", "--scale", "0.8", "--format", "json"]
+
+    def test_two_calls_share_one_parser(self, capsys):
+        from bayesflip import cli
+
+        assert cli.build_parser() is cli.build_parser()
+        before = cli.build_parser.cache_info()
+        assert cli.main(self.BF) == 0
+        assert cli.main(["table1"]) == 0
+        after = cli.build_parser.cache_info()
+        assert (after.misses, after.hits) == (before.misses, before.hits + 2)
+
+    def test_usage_error_between_good_calls_changes_nothing(self, capsys):
+        from bayesflip.cli import main
+
+        assert main(self.BF) == 0
+        first = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["bf", "--z", "2", "--n", "50", "--scale", "0"])
+        assert exc.value.code == 2
+        assert "--scale must be > 0" in capsys.readouterr().err
+        # a good call that sets every optional flag differs, and leaves no trace
+        assert main(["bf", "--z", "3", "--n", "9", "--prior", "cauchy", "--scale", "2",
+                     "--format", "csv", "--precision", "7"]) == 0
+        assert capsys.readouterr().out != first.out
+        assert main(self.BF) == 0
+        assert capsys.readouterr() == first

@@ -44,6 +44,11 @@ class TestPhi:
         with pytest.raises(DomainError):
             phi(-1.0)
 
+    def test_infinite_k_names_k(self):
+        """phi(inf) used to return nan (inf / inf)."""
+        with pytest.raises(DomainError, match="phi domain is 0 < k < inf, got inf"):
+            phi(math.inf)
+
     def test_strictly_increasing(self):
         ks = np.exp(np.linspace(math.log(1e-6), math.log(1e6), 300))
         vals = [phi(float(k)) for k in ks]

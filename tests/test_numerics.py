@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from bayesflip import numerics
 from bayesflip.errors import (
     ConvergenceError,
     DomainError,
@@ -14,8 +15,6 @@ from bayesflip.errors import (
     NoSignChange,
 )
 from bayesflip.numerics import (
-    Bracket,
-    SolverConfig,
     find_root,
     lambert_w0,
     std_normal_cdf,
@@ -26,56 +25,69 @@ from _quadrature import MarginalIntegrand, integrate_real_line
 
 
 class TestBracketAndConfig:
+    """find_root checks its bracket [lo, hi] and its tolerance before it
+    evaluates f."""
+
+    @staticmethod
+    def unreachable(t):
+        raise AssertionError("f evaluated")
+
     def test_bracket_order_enforced(self):
-        with pytest.raises(DomainError):
-            Bracket(2.0, 1.0)
-        with pytest.raises(DomainError):
-            Bracket(1.0, 1.0)
+        with pytest.raises(DomainError, match=r"lo < hi, got \[2.0, 1.0\]"):
+            find_root(self.unreachable, 2.0, 1.0)
+        with pytest.raises(DomainError, match="lo < hi"):
+            find_root(self.unreachable, 1.0, 1.0)
+        with pytest.raises(DomainError, match="lo < hi"):
+            find_root(self.unreachable, math.nan, 1.0)
 
     @pytest.mark.parametrize("kwargs", [
-        {"rel_tol": 0.0},
-        {"rel_tol": -1e-9},
         {"abs_tol": -1e-18},
-        {"max_iter": 0},
+        {"abs_tol": -1.0},
+        {"abs_tol": -math.inf},
+        {"abs_tol": math.nan},
     ])
     def test_config_validation(self, kwargs):
-        with pytest.raises(DomainError):
-            SolverConfig(**kwargs)
+        with pytest.raises(DomainError, match="abs_tol must be nonnegative"):
+            find_root(self.unreachable, 1.0, 2.0, **kwargs)
 
 
 class TestFindRoot:
     def test_sqrt_two(self):
-        x = find_root(lambda t: t * t - 2.0, Bracket(1.0, 2.0))
+        x = find_root(lambda t: t * t - 2.0, 1.0, 2.0)
         assert x == pytest.approx(math.sqrt(2.0), abs=2e-12)
 
     def test_identity_function(self):
-        x = find_root(lambda t: t, Bracket(-1.0, 1.0))
+        x = find_root(lambda t: t, -1.0, 1.0)
         assert x == pytest.approx(0.0, abs=1e-12)
 
     def test_flip_equation_reference_root(self):
         """(1+k) log(1+k) - 4k has its nontrivial zero near 49.44."""
         x = find_root(lambda k: (1.0 + k) * math.log1p(k) - 4.0 * k,
-                      Bracket(3.0, 100.0))
+                      3.0, 100.0)
         assert x == pytest.approx(49.44, abs=0.01)
 
     def test_root_at_endpoint_returned_directly(self):
-        assert find_root(lambda t: t - 1.0, Bracket(1.0, 3.0)) == 1.0
-        assert find_root(lambda t: t - 3.0, Bracket(1.0, 3.0)) == 3.0
+        assert find_root(lambda t: t - 1.0, 1.0, 3.0) == 1.0
+        assert find_root(lambda t: t - 3.0, 1.0, 3.0) == 3.0
 
     def test_no_sign_change(self):
         with pytest.raises(NoSignChange):
-            find_root(lambda t: t * t + 1.0, Bracket(-1.0, 1.0))
+            find_root(lambda t: t * t + 1.0, -1.0, 1.0)
 
-    def test_max_iter_exceeded(self):
-        cfg = SolverConfig(rel_tol=1e-15, abs_tol=1e-18, max_iter=2)
-        with pytest.raises(MaxIterExceeded):
-            find_root(lambda t: t * t - 2.0, Bracket(1.0, 2.0), cfg)
+    def test_max_iter_exceeded(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_ITER", 2)
+        with pytest.raises(MaxIterExceeded, match="within 2 iterations"):
+            find_root(lambda t: t * t - 2.0, 1.0, 2.0, abs_tol=1e-18)
+
+    def test_abs_tol_zero_stops_on_relative_width(self):
+        x = find_root(lambda t: t * t - 2.0, 1.0, 2.0, abs_tol=0.0)
+        assert x == pytest.approx(math.sqrt(2.0), rel=2e-12)
 
     def test_result_stays_inside_bracket(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
             c = float(rng.uniform(-1.5, 1.5))
-            x = find_root(lambda t: t * t * t - c, Bracket(-2.0, 2.0))
+            x = find_root(lambda t: t * t * t - c, -2.0, 2.0)
             assert -2.0 <= x <= 2.0
             expected = math.copysign(abs(c) ** (1.0 / 3.0), c)
             assert x == pytest.approx(expected, abs=1e-9)
@@ -95,11 +107,16 @@ class TestLambertW:
         with pytest.raises(DomainError):
             lambert_w0(float("nan"))
 
+    def test_infinite_input_names_x(self):
+        """inf used to run the Halley loop on nan and end in MaxIterExceeded."""
+        with pytest.raises(DomainError, match=r"lambert_w0 domain is \[-1/e, inf\); got inf"):
+            lambert_w0(math.inf)
+
     def test_flip_equation_consistency(self):
         """The W0 route must reproduce the root of (1+k)log(1+k) = 4k
         found independently by the bracketed solver."""
         oracle = find_root(lambda k: (1.0 + k) * math.log1p(k) - 4.0 * k,
-                           Bracket(3.0, 100.0))
+                           3.0, 100.0)
         w = lambert_w0(-4.0 * math.exp(-4.0))
         k = math.expm1(w + 4.0)
         assert k == pytest.approx(oracle, rel=1e-9)

@@ -9,10 +9,9 @@ import pytest
 
 from bayesflip.bayes_factor import BayesFactorResult, Direction, NormalPrior, TestSetup
 from bayesflip.cauchy import CauchyPrior
-from bayesflip.cli import RunConfig
+from bayesflip.cli import Table
 from bayesflip.errors import DomainError
 from bayesflip.flip import FlipPointResult, ReversalPair, flip_point, reversal_pair
-from bayesflip.numerics import Bracket, SolverConfig
 from bayesflip.report import FigureRow, SweepRow, TableOneRow, sweep_flip_row, table_rows
 from bayesflip.svg import Marker, Series
 
@@ -24,8 +23,6 @@ SAMPLES = [
     NormalPrior(0.5),
     CauchyPrior(0.5),
     BayesFactorResult.from_log(-0.25),
-    Bracket(0.5, 2.0),
-    SolverConfig(),
     MarginalIntegrand(2.0, 50, "cauchy", 0.7),
     flip_point(2.0),
     reversal_pair(SETUP),
@@ -34,10 +31,11 @@ SAMPLES = [
     FigureRow("a", 2.0, 1.5, 0.9, math.log(0.9), Direction.FAVOURS_H1, "point"),
     Series("z=2", (1.0, 2.0), (0.5, 0.25)),
     Marker(1.0, 2.0, label="tau*"),
+    Table("flip", ("z", "k_star"), ((2.0, 3.92),)),
 ]
-RECORD_TYPES = (TestSetup, NormalPrior, CauchyPrior, BayesFactorResult, Bracket,
-                SolverConfig, MarginalIntegrand, FlipPointResult, ReversalPair, SweepRow,
-                TableOneRow, FigureRow, Series, Marker, RunConfig)
+RECORD_TYPES = (TestSetup, NormalPrior, CauchyPrior, BayesFactorResult, MarginalIntegrand,
+                FlipPointResult, ReversalPair, SweepRow, TableOneRow, FigureRow, Series,
+                Marker, Table)
 
 
 def ids(records):
@@ -45,7 +43,7 @@ def ids(records):
 
 
 def test_samples_cover_every_record_type():
-    assert {type(r) for r in SAMPLES} | {RunConfig} == set(RECORD_TYPES)
+    assert {type(r) for r in SAMPLES} == set(RECORD_TYPES)
 
 
 class TestEquality:
@@ -81,10 +79,6 @@ INVALID = [
     (SETUP, "sigma", 2.0),
     (NormalPrior(0.5), "tau", 0.0),
     (CauchyPrior(0.5), "r", math.inf),
-    (Bracket(0.5, 2.0), "lo", 3.0),
-    (SolverConfig(), "rel_tol", -1.0),
-    (SolverConfig(), "abs_tol", -1e-3),
-    (SolverConfig(), "max_iter", 0),
     (MarginalIntegrand(2.0, 50, "cauchy", 0.7), "prior_family", "laplace"),
     (MarginalIntegrand(2.0, 50, "cauchy", 0.7), "scale", -1.0),
 ]
@@ -102,12 +96,6 @@ class TestValidation:
     def test_make_validates(self, r, field, value):
         with pytest.raises(DomainError):
             type(r)._make(value if f == field else v for f, v in zip(r._fields, r))
-
-    def test_solver_config_replace(self):
-        with pytest.raises(DomainError, match="rel_tol"):
-            SolverConfig()._replace(rel_tol=-1.0)
-        cfg = SolverConfig()._replace(abs_tol=0.0)
-        assert type(cfg) is SolverConfig and cfg == SolverConfig(1e-12, 0.0, 200)
 
     def test_replace_rejects_unknown_fields(self):
         with pytest.raises(ValueError):
@@ -129,8 +117,7 @@ class TestImmutability:
 
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
 def test_pickle_round_trips_every_record(protocol):
-    records = [*SAMPLES, RunConfig("bf", {"z": 2.0, "n": 50}, "json", None, 4)]
-    for r in records:
+    for r in SAMPLES:
         back = pickle.loads(pickle.dumps(r, protocol))
         assert type(back) is type(r) and back == r
 
@@ -138,10 +125,10 @@ def test_pickle_round_trips_every_record(protocol):
 def test_repr():
     assert repr(TestSetup(50, 2.0)) == "TestSetup(n=50, z=2.0, sigma=1.0)"
     assert repr(NormalPrior(0.5)) == "NormalPrior(tau=0.5)"
-    assert repr(SolverConfig()) == "SolverConfig(rel_tol=1e-12, abs_tol=1e-14, max_iter=200)"
+    assert repr(Marker(1.0, 2.0)) == "Marker(x=1.0, y=2.0, label='')"
 
 
 def test_keyword_construction_and_defaults():
     assert TestSetup(n=50, z=2.0) == TestSetup(50, 2.0, 1.0)
-    assert Marker(1.0, 2.0) == Marker(1.0, 2.0, "", "#d62728")
+    assert Marker(1.0, 2.0) == Marker(1.0, 2.0, "")
     assert Series("s", (), ()).color == "#1f77b4"

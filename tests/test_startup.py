@@ -77,14 +77,43 @@ def test_no_module_ships_the_quadrature():
         assert [m for m in MOVED_TO_TESTS if hasattr(module, m)] == [], name
 
 
-def test_only_find_root_takes_a_solver_config():
+def test_no_public_function_takes_cfg():
     takes_cfg = set()
     for name in package_modules():
         for attr, fn in vars(importlib.import_module(name)).items():
             if (not attr.startswith("_") and inspect.isfunction(fn) and fn.__module__ == name
                     and "cfg" in inspect.signature(fn).parameters):
                 takes_cfg.add(f"{name}.{attr}")
-    assert takes_cfg == {"bayesflip.numerics.find_root"}
+    assert takes_cfg == set()
+
+
+def test_find_root_takes_the_bracket_and_one_tolerance():
+    """perfbench/tracer.py wraps find_root as wrapper(f, *args, **kwargs)."""
+    from bayesflip.numerics import find_root
+
+    params = inspect.signature(find_root).parameters
+    assert list(params) == ["f", "lo", "hi", "abs_tol"]
+    assert params["abs_tol"].default == 1e-14
+
+
+# pass-through records and knobs that were deleted
+REMOVED = ("RunConfig", "Bracket", "SolverConfig", "DEFAULT_CONFIG", "log_std_normal_pdf")
+
+
+def test_removed_wrappers_stay_removed():
+    for name in package_modules():  # the package itself included
+        module = importlib.import_module(name)
+        assert [r for r in REMOVED if hasattr(module, r)] == [], name
+
+
+def test_lazy_exports_are_in_module_all():
+    """The lazy export table of bayesflip/__init__ names only what each
+    module declares public."""
+    import bayesflip
+
+    for module, names in bayesflip._EXPORTS.items():
+        declared = importlib.import_module(f"bayesflip.{module}").__all__
+        assert set(names) - set(declared) == set(), module
 
 
 def test_kernels_are_one_module():

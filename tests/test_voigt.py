@@ -14,9 +14,8 @@ from bayesflip import _kernels
 from bayesflip.bayes_factor import TestSetup
 from bayesflip.cauchy import Z_CRIT, CauchyPrior, bf01_cauchy, cauchy_flip_scale
 from bayesflip.errors import DomainError, NoFlipPoint
-from bayesflip.numerics import log_std_normal_pdf
 
-from _quadrature import MarginalIntegrand, marginal_log_integral
+from _quadrature import MarginalIntegrand, log_std_normal_pdf, marginal_log_integral
 
 MP_DPS = 50
 

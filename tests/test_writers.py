@@ -1,6 +1,8 @@
 """The CLI's CSV and JSON writers against their oracles, over random
 tables: ``json.dumps(obj, indent=2)`` for every JSON shape the CLI
-emits, and the cell rule of the former per-cell CSV writer for CSV."""
+emits, and the cell rule of the former per-cell CSV writer for CSV.
+Cells include ``Direction`` members, which report rows carry and both
+writers write as their value."""
 
 import json
 import math
@@ -8,6 +10,7 @@ import math
 from hypothesis import given, strategies as st
 
 from bayesflip._writers import csv_text, json_text
+from bayesflip.bayes_factor import Direction
 from bayesflip.cli import Table
 
 FLOATS = st.one_of(
@@ -17,7 +20,7 @@ FLOATS = st.one_of(
 )
 INTS = st.integers(min_value=-10**30, max_value=10**30)
 TEXT = st.text(st.one_of(st.sampled_from('"\\%\n,'), st.characters()), max_size=8)
-CELLS = st.one_of(st.none(), FLOATS, INTS, TEXT)
+CELLS = st.one_of(st.none(), FLOATS, INTS, TEXT, st.sampled_from(Direction))
 
 
 @st.composite
@@ -28,8 +31,12 @@ def tables(draw, name=TEXT, min_rows=1, max_rows=6):
     return Table(draw(name), tuple(header), rows)
 
 
+def plain(cell):
+    return cell.value if isinstance(cell, Direction) else cell
+
+
 def objects(table):
-    return [dict(zip(table.header, row)) for row in table.rows]
+    return [dict(zip(table.header, map(plain, row))) for row in table.rows]
 
 
 @given(tables(min_rows=1, max_rows=1))
@@ -50,9 +57,11 @@ def test_object_of_lists(tabs):
 
 
 def former_cell(v):
-    """The former CSV cell rule, less Direction (cells now hold its value)."""
+    """The former CSV cell rule."""
     if v is None:
         return ""
+    if isinstance(v, Direction):
+        return v.value
     if isinstance(v, float):
         return repr(v)
     return str(v)
