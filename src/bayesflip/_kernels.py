@@ -2,34 +2,42 @@
 
 ``log_re_faddeeva`` is the hot kernel: the closed-form Voigt marginal
 behind every Cauchy-prior Bayes factor, flip-scale search and sweep.
-``lambert_w0`` serves the normal-prior flip point.
+``lambert_w0`` serves the normal-prior flip point; ``bayesflip.numerics``
+exports it as is.
 
-Kernels assume domain-valid inputs (the wrappers in ``bayesflip.numerics``
-and ``bayesflip.cauchy`` validate) and signal non-convergence with plain
-ArithmeticError; callers translate that into the package exception
-hierarchy.
+``log_re_faddeeva`` assumes domain-valid inputs (``bayesflip.cauchy``
+validates); ``lambert_w0`` checks its own domain and raises the package's
+exceptions.
 """
 
 import math
+
+from .errors import DomainError, MaxIterExceeded
 
 _SQRT_PI = 1.7724538509055159
 _INV_SQRT_PI = 0.5641895835477563
 _LOG_SQRT_PI = 0.5723649429247
 _TINY = 1e-300
+# lambert_w0's least x: -1/e less a few ulps, tolerated (and giving -1)
+# for callers that computed -1/e themselves
+_W0_X_MIN = -math.exp(-1.0) - 4e-17
 _LAMBERT_REL_TOL = 1e-12
 _LAMBERT_MAX_ITER = 200
 
 
-def lambert_w0(x):
-    """Principal-branch Lambert W (the w >= -1 solution of w*e^w = x).
+def lambert_w0(x: float) -> float:
+    """Principal branch W0 of w * exp(w) = x on [-1/e, inf); W0 >= -1.
 
     Initial guess from the branch-point series near -1/e and the log-log
-    asymptote for large x, refined by Halley iteration.  The caller
-    guarantees x >= -1/e.
+    asymptote for large x, refined by Halley iteration until its step is
+    below 1e-12 relative.  Raises DomainError for x below -1/e, infinite
+    or nan, MaxIterExceeded past 200 iterations.
     """
+    if not _W0_X_MIN <= x < math.inf:  # nan fails too
+        raise DomainError(f"lambert_w0 domain is [-1/e, inf); got {x}")
     if x == 0.0:
         return 0.0
-    q = math.e * x + 1.0  # vanishes at the branch point
+    q = math.e * x + 1.0  # vanishes at the branch point, negative below it
     if q <= 0.0:
         return -1.0
     if x < -0.25:
@@ -53,7 +61,7 @@ def lambert_w0(x):
         w -= dw
         if abs(dw) <= _LAMBERT_REL_TOL * (abs(w) + _TINY):
             return w
-    raise ArithmeticError("Lambert W iteration did not converge")
+    raise MaxIterExceeded("Lambert W iteration did not converge")
 
 
 # Weideman (1994, SIAM J. Numer. Anal. 31:1497) rational approximation of

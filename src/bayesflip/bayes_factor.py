@@ -41,18 +41,23 @@ _SQRT2 = math.sqrt(2.0)
 # but float comparisons need a band.
 NEUTRAL_LOG_BAND = 1e-12
 
+_DBL_MAX = sys.float_info.max
 # the largest log BF01 whose BF01 is a float: exp of anything above overflows
-_LOG_DBL_MAX = math.log(sys.float_info.max)
+_LOG_DBL_MAX = math.log(_DBL_MAX)
 
 
 def _check_sample_size(n: int) -> None:
-    """Raise DomainError unless n is an integer >= 1 (bool excluded)."""
+    """Raise DomainError unless n is an integer >= 1 (bool excluded) that
+    fits in a float."""
     try:
         ok = not isinstance(n, bool) and operator.index(n) >= 1
     except TypeError:
         ok = False
     if not ok:
         raise DomainError(f"sample size must be an integer >= 1, got {n!r}")
+    if n > _DBL_MAX:  # exact: an int and a float compare by value
+        raise DomainError(f"sample size n must fit in a float (at most {_DBL_MAX:g}), "
+                          f"got a {n.bit_length()}-bit integer")
 
 
 class Direction(Enum):

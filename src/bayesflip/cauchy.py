@@ -21,7 +21,7 @@ import math
 
 from ._kernels import log_re_faddeeva
 from ._record import record
-from .bayes_factor import BayesFactorResult, TestSetup
+from .bayes_factor import _LOG_DBL_MAX, BayesFactorResult, TestSetup
 from .errors import ConvergenceError, DomainError, NoFlipPoint
 from .numerics import find_root
 
@@ -61,7 +61,10 @@ def bf01_cauchy(setup: TestSetup, prior: CauchyPrior) -> BayesFactorResult:
     gamma = math.sqrt(setup.n) * prior.r
     if gamma == math.inf:
         raise DomainError(f"sqrt(n) * r overflows a float (n = {setup.n}, r = {prior.r})")
-    return BayesFactorResult.from_log(_log_bf01_voigt(setup.z, gamma))
+    log_bf = _log_bf01_voigt(setup.z, gamma)
+    if not math.isfinite(log_bf):  # z^2 / 2 overflows
+        raise DomainError(f"log BF01 is not a finite float for z = {setup.z}, r = {prior.r}")
+    return BayesFactorResult.from_log(log_bf)
 
 
 def cauchy_flip_scale(setup: TestSetup) -> float:
@@ -102,9 +105,8 @@ def cauchy_flip_scale(setup: TestSetup) -> float:
                     f"log BF01 does not resolve below 0 for |z| = {z}, too close to {Z_CRIT}")
         log_gamma += find_root(f, lo, lo + 1.0)
     log_r = log_gamma - 0.5 * math.log(setup.n)
-    try:
-        return math.exp(log_r)
-    except OverflowError:
+    if log_r > _LOG_DBL_MAX:
         raise DomainError(
             f"Cauchy flip scale r* = exp({log_r:.6g}) overflows a float "
-            f"for z = {setup.z}, n = {setup.n}") from None
+            f"for z = {setup.z}, n = {setup.n}")
+    return math.exp(log_r)

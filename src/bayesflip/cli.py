@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: bf, flip, sweep, table1, figure1, paradox.  Human-readable
-text goes to stdout by default; --format csv|json|svg switches to
-machine output carrying full float precision, written to --out when
-given.  Exit codes: 0 success, 1 computation/domain error or an output
-file that cannot be written, 2 usage error.
+text by default; --format csv|json|svg switches to machine output
+carrying full float precision.  Either goes to stdout, or to --out when
+given.  Exit codes: 0 success, 1 computation/domain error, an output
+file that cannot be written or a closed stdout, 2 usage error.
 
 Each handler takes the parsed argparse namespace and returns its human
 text, its data as ``Table`` records, and its SVG renderers; ``_emit``
@@ -62,12 +62,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("csv", "json")):
+    def common(p, formats=("csv", "json"), precision=True):
         p.add_argument("--format", choices=formats, default=None,
                        help="machine output format (default: human-readable text)")
-        p.add_argument("--out", default=None, help="write machine output to this path")
-        p.add_argument("--precision", type=int, default=4,
-                       help="decimal places for human-readable output (default 4)")
+        p.add_argument("--out", default=None, help="write the output to this path")
+        if precision:
+            p.add_argument("--precision", type=int, default=4,
+                           help="decimal places for human-readable output (default 4)")
 
     p = sub.add_parser("bf", help="Bayes factor for one prior scale")
     p.add_argument("--z", type=float, required=True, help="z-statistic")
@@ -95,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, formats=("csv", "json", "svg"))
 
     p = sub.add_parser("table1", help="flip points for the reference z grid")
-    common(p)
+    common(p, precision=False)  # always printed at published precision
 
     p = sub.add_parser("figure1", help="datasets behind the two reversal panels")
     p.add_argument("--points-a", type=int, default=200, help="grid points per panel-A curve")
@@ -115,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Flag-level validation; anything wrong here is a usage error (exit 2)."""
     params = vars(args)
-    if args.precision < 0:
+    if "precision" in params and args.precision < 0:
         parser.error("--precision must be nonnegative")
     for key in ("z", "scale", "scale_min", "scale_max"):
         if key in params and not math.isfinite(params[key]):
@@ -182,16 +183,15 @@ def _cmd_flip(args: argparse.Namespace) -> tuple:
                else [flip.FlipMethod(args.method)])
     results = [flip.flip_point(args.z, m) for m in methods]
     n = args.n
+    taus = [None if n is None else flip.tau_star(r.k_star, n) for r in results]
     header = ("z", "method", "k_star", "residual", "tau_star")
-    rows = [(r.z, r.method.value, r.k_star, r.residual,
-             flip.tau_star(r.k_star, n) if n is not None else None) for r in results]
+    rows = [(r.z, r.method.value, r.k_star, r.residual, ts) for r, ts in zip(results, taus)]
     d = args.precision
     lines = [f"z            {args.z:.{d}f}"]
-    for r in results:
-        ts = (f"   tau*(n={n}) = {flip.tau_star(r.k_star, n):.{d}f}"
-              if n is not None else "")
+    for r, ts in zip(results, taus):
+        tau_text = "" if ts is None else f"   tau*(n={n}) = {ts:.{d}f}"
         lines.append(f"k* ({r.method.value:9s}) = {r.k_star:.{d}f}   "
-                     f"residual = {r.residual:.2e}{ts}")
+                     f"residual = {r.residual:.2e}{tau_text}")
     if len(results) == 2:
         rel = abs(results[0].k_star - results[1].k_star) / results[0].k_star
         lines.append(f"method agreement: {rel:.2e} relative")
@@ -298,15 +298,14 @@ def _cmd_paradox(args: argparse.Namespace) -> tuple:
     from . import flip
 
     setup = TestSetup(n=args.n, z=args.z)
-    fp = flip.flip_point(setup.z)
-    ts = flip.tau_star(fp.k_star, setup.n)
+    k_star = flip.flip_point(setup.z).k_star
     pair = flip.reversal_pair(setup, args.spread)
     post1 = posterior_prob_h0(pair.bf1)
     post2 = posterior_prob_h0(pair.bf2)
     d = args.precision
     human = "\n".join([
         f"z = {setup.z:.{d}f}, n = {setup.n}",
-        f"flip point k* = {fp.k_star:.{d}f}; critical prior sd tau* = {ts:.{d}f}",
+        f"flip point k* = {k_star:.{d}f}; critical prior sd tau* = {pair.tau_star:.{d}f}",
         f"analyst 1: tau = {pair.tau1:.{d}f}  ->  BF01 = {pair.bf1:.{d}f}  "
         f"(favours H1), P(H0 | data) = {post1:.{d}f}",
         f"analyst 2: tau = {pair.tau2:.{d}f}  ->  BF01 = {pair.bf2:.{d}f}  "
@@ -316,7 +315,7 @@ def _cmd_paradox(args: argparse.Namespace) -> tuple:
     ])
     header = ("z", "n", "k_star", "tau_star", "tau1", "tau2", "bf1", "bf2",
               "posterior_h0_tau1", "posterior_h0_tau2", "direction1", "direction2")
-    row = (setup.z, setup.n, fp.k_star, ts, pair.tau1, pair.tau2, pair.bf1, pair.bf2,
+    row = (setup.z, setup.n, k_star, pair.tau_star, pair.tau1, pair.tau2, pair.bf1, pair.bf2,
            post1, post2, Direction.FAVOURS_H1, Direction.FAVOURS_H0)
     return human, [Table("paradox", header, [row])], []
 
@@ -359,7 +358,7 @@ def _emit(args: argparse.Namespace, human: str, tables: list[Table], svgs: list)
     or SVG document per table (svgs holds one renderer per table)."""
     fmt, out = args.format, args.out
     if fmt is None:
-        print(human)
+        _write(human + "\n", out)
         return
     if fmt == "json":
         from ._writers import json_text
@@ -387,8 +386,14 @@ def main(argv: list[str] | None = None) -> int:
     _validate(parser, args)
     try:
         _emit(args, *_HANDLERS[args.command](args))
+        sys.stdout.flush()
     except BayesFlipError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader has gone (`| head`): point stdout at devnull, so the
+        # flush at exit cannot fail again (the SIGPIPE note in the Python docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return 0
 

@@ -16,11 +16,11 @@ builds/validates scale pairs that reverse the direction of evidence.
 from __future__ import annotations
 
 import math
-import sys
 from enum import Enum
 
 from ._record import record
-from .bayes_factor import Direction, NormalPrior, TestSetup, _check_sample_size, bf01
+from .bayes_factor import (_DBL_MAX, _LOG_DBL_MAX, Direction, NormalPrior, TestSetup,
+                           _check_sample_size, bf01)
 from .errors import ConvergenceError, DomainError, NoFlipPoint, NotAReversal
 from .numerics import find_root, lambert_w0
 
@@ -49,9 +49,6 @@ _LAMBERT_SAFE_Z = 1.01
 
 # |(1+k*) log(1+k*) - z^2 k*| must stay within this times z^2 * k*.
 _RESIDUAL_BOUND = 1e-9
-
-_MAX_FLOAT = sys.float_info.max
-_LOG_MAX_FLOAT = math.log(_MAX_FLOAT)
 
 # Below this k, phi(k) - 1 comes from its Taylor series (truncation error
 # below 1e-17 relative); above it the closed form loses at most ~1e-13.
@@ -91,7 +88,7 @@ def phi_inverse(y: float) -> float:
     k = _solve_phi(y - 1.0)
     if k is None:
         raise DomainError(f"phi_inverse(y) overflows a float for y above "
-                          f"{_LOG_MAX_FLOAT:.2f}; got y = {y}")
+                          f"{_LOG_DBL_MAX:.2f}; got y = {y}")
     return k
 
 
@@ -113,10 +110,10 @@ def _solve_phi(c: float) -> float | None:
     before any evaluation.  The solve stops on a relative interval width
     alone, which is safe because k > c > 0.
     """
-    if c >= _LOG_MAX_FLOAT:
+    if c >= _LOG_DBL_MAX:
         return None
     lo = math.expm1(c)
-    hi = math.expm1(c + 1.5) if c + 1.5 < _LOG_MAX_FLOAT else _MAX_FLOAT
+    hi = math.expm1(c + 1.5) if c + 1.5 < _LOG_DBL_MAX else _DBL_MAX
     if not _phi_minus_one(hi) > c:
         return None
     return find_root(lambda k: _phi_minus_one(k) - c, lo, hi, abs_tol=0.0)
@@ -124,8 +121,8 @@ def _solve_phi(c: float) -> float | None:
 
 def _no_finite_k_star(z: float) -> DomainError:
     return DomainError(
-        f"k* overflows a float (log(1 + k*) > {_LOG_MAX_FLOAT:.2f}, "
-        f"i.e. |z| > {math.sqrt(_LOG_MAX_FLOAT):.3f}); got z = {z}"
+        f"k* overflows a float (log(1 + k*) > {_LOG_DBL_MAX:.2f}, "
+        f"i.e. |z| > {math.sqrt(_LOG_DBL_MAX):.3f}); got z = {z}"
     )
 
 
@@ -155,7 +152,7 @@ def flip_point(z: float, method: FlipMethod = FlipMethod.BRACKETED) -> FlipPoint
     if method is FlipMethod.LAMBERT_W and a >= _LAMBERT_SAFE_Z:
         # log(1 + k*) = z^2 + W0(-z^2 e^{-z^2}), and |W0| < 1e-300 wherever
         # z^2 is near log(DBL_MAX), so testing z^2 alone decides the same
-        if z2 > _LOG_MAX_FLOAT:
+        if z2 > _LOG_DBL_MAX:
             raise _no_finite_k_star(z)
         k_star = math.expm1(lambert_w0(-z2 * math.exp(-z2)) + z2)
     else:
@@ -181,6 +178,24 @@ def tau_star(k_star: float, n: int) -> float:
     return math.sqrt(k_star / n)
 
 
+def _check_pair(setup: TestSetup, ts: float, tau1: float,
+                tau2: float) -> tuple[ReversalPair, list[str]]:
+    """The pair (tau1, tau2) about tau* = ts with its Bayes factors, and
+    which of tau1 < tau* < tau2, BF01(tau1) < 1 < BF01(tau2) it fails."""
+    r1 = bf01(setup, NormalPrior(tau1))
+    r2 = bf01(setup, NormalPrior(tau2))
+    problems = []
+    if not tau1 < ts:
+        problems.append(f"tau1 = {tau1:g} is not below tau* = {ts:.6g}")
+    if not ts < tau2:
+        problems.append(f"tau2 = {tau2:g} is not above tau* = {ts:.6g}")
+    if r1.direction is not Direction.FAVOURS_H1:
+        problems.append(f"BF01(tau1) = {r1.bf01:.6g} does not favour H1")
+    if r2.direction is not Direction.FAVOURS_H0:
+        problems.append(f"BF01(tau2) = {r2.bf01:.6g} does not favour H0")
+    return ReversalPair(tau1=tau1, tau2=tau2, tau_star=ts, bf1=r1.bf01, bf2=r2.bf01), problems
+
+
 def reversal_pair(setup: TestSetup, spread: float = 0.5) -> ReversalPair:
     """A symmetric multiplicative pair tau* (1 - spread), tau* / (1 - spread)
     demonstrating the reversal: bf1 < 1 < bf2 on identical data.
@@ -190,19 +205,14 @@ def reversal_pair(setup: TestSetup, spread: float = 0.5) -> ReversalPair:
     """
     if not 0.0 < spread < 1.0:
         raise DomainError(f"spread must lie in (0, 1), got {spread}")
-    fp = flip_point(setup.z, FlipMethod.BRACKETED)
-    ts = tau_star(fp.k_star, setup.n)
+    ts = tau_star(flip_point(setup.z).k_star, setup.n)
     shrink = 1.0 - spread
     if shrink == 1.0:  # spread below float resolution; start just under 1
         shrink = 1.0 - 1e-15
     for _ in range(64):
-        tau1 = ts * shrink
-        tau2 = ts / shrink
-        r1 = bf01(setup, NormalPrior(tau1))
-        r2 = bf01(setup, NormalPrior(tau2))
-        if r1.direction is Direction.FAVOURS_H1 and r2.direction is Direction.FAVOURS_H0:
-            return ReversalPair(tau1=tau1, tau2=tau2, tau_star=ts,
-                                bf1=r1.bf01, bf2=r2.bf01)
+        pair, problems = _check_pair(setup, ts, ts * shrink, ts / shrink)
+        if not problems:
+            return pair
         shrink *= shrink
     raise NotAReversal("could not separate the pair from the neutral band")
 
@@ -215,19 +225,8 @@ def validate_pair(setup: TestSetup, tau1: float, tau2: float) -> ReversalPair:
     """
     if not tau1 > 0.0 or not tau2 > 0.0:
         raise DomainError(f"prior scales must be positive, got ({tau1}, {tau2})")
-    fp = flip_point(setup.z, FlipMethod.BRACKETED)
-    ts = tau_star(fp.k_star, setup.n)
-    r1 = bf01(setup, NormalPrior(tau1))
-    r2 = bf01(setup, NormalPrior(tau2))
-    problems = []
-    if not tau1 < ts:
-        problems.append(f"tau1 = {tau1:g} is not below tau* = {ts:.6g}")
-    if not ts < tau2:
-        problems.append(f"tau2 = {tau2:g} is not above tau* = {ts:.6g}")
-    if r1.direction is not Direction.FAVOURS_H1:
-        problems.append(f"BF01(tau1) = {r1.bf01:.6g} does not favour H1")
-    if r2.direction is not Direction.FAVOURS_H0:
-        problems.append(f"BF01(tau2) = {r2.bf01:.6g} does not favour H0")
+    ts = tau_star(flip_point(setup.z).k_star, setup.n)
+    pair, problems = _check_pair(setup, ts, tau1, tau2)
     if problems:
         raise NotAReversal("; ".join(problems))
-    return ReversalPair(tau1=tau1, tau2=tau2, tau_star=ts, bf1=r1.bf01, bf2=r2.bf01)
+    return pair

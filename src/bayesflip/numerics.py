@@ -1,6 +1,6 @@
 """Self-contained numerical layer: Brent's bracketed root finding, the
-principal branch of the Lambert W function, and the standard normal
-density and distribution function.
+principal branch of the Lambert W function (the kernel in ``_kernels``),
+and the standard normal density and distribution function.
 
 Everything here is a pure function of its inputs and safe to call from
 multiple threads.
@@ -11,12 +11,11 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-from . import _kernels
+from ._kernels import lambert_w0
 from .errors import DomainError, MaxIterExceeded, NoSignChange
 
 __all__ = ["find_root", "lambert_w0", "std_normal_pdf", "std_normal_cdf"]
 
-_INV_E = math.exp(-1.0)
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -94,23 +93,6 @@ def find_root(f: Callable[[float], float], lo: float, hi: float,
             c, fc = a, fa
             e = d = b - a
     raise MaxIterExceeded(f"root not localized within {_MAX_ITER} iterations")
-
-
-def lambert_w0(x: float) -> float:
-    """Principal branch W0 of w * exp(w) = x on [-1/e, inf); W0 >= -1.
-    Halley iteration stops once its step is below 1e-12 relative.
-    Raises DomainError for x below -1/e, infinite or nan."""
-    if not x < math.inf:  # inf and nan
-        raise DomainError(f"lambert_w0 domain is [-1/e, inf); got {x}")
-    if x < -_INV_E:
-        # tolerate a few ulps for callers that computed -1/e themselves
-        if x < -_INV_E - 4e-17:
-            raise DomainError(f"lambert_w0 domain is [-1/e, inf); got {x}")
-        return -1.0
-    try:
-        return _kernels.lambert_w0(x)
-    except ArithmeticError as exc:
-        raise MaxIterExceeded(str(exc)) from None
 
 
 def std_normal_pdf(x: float) -> float:

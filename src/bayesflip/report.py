@@ -16,7 +16,7 @@ from .bayes_factor import (
     two_sided_p,
 )
 from .errors import DomainError
-from .flip import FlipMethod, flip_point, tau_star
+from .flip import flip_point, tau_star
 
 __all__ = [
     "SweepRow",
@@ -116,7 +116,7 @@ def sweep_flip_row(setup: TestSetup) -> SweepRow | None:
     sweeps; None when |z| <= 1 (no flip point exists)."""
     if abs(setup.z) <= 1.0:
         return None
-    fp = flip_point(setup.z, FlipMethod.BRACKETED)
+    fp = flip_point(setup.z)
     ts = tau_star(fp.k_star, setup.n)
     return SweepRow(ROW_FLIP, ts, fp.k_star, 1.0, 0.0, Direction.NEUTRAL)
 
@@ -125,7 +125,7 @@ def table_rows() -> list[TableOneRow]:
     """Flip points and critical prior scales for the reference z grid."""
     rows = []
     for z in TABLE_Z_VALUES:
-        fp = flip_point(z, FlipMethod.BRACKETED)
+        fp = flip_point(z)
         rows.append(TableOneRow(
             z=z,
             z_squared=z * z,
@@ -146,23 +146,18 @@ def figure_panel_a(points: int = 200) -> list[FigureRow]:
         for k in ks:
             res = BayesFactorResult.from_log(log_bf01(z, k))
             rows.append(FigureRow("a", z, k, res.bf01, res.log_bf01, res.direction, ROW_POINT))
-        fp = flip_point(z, FlipMethod.BRACKETED)
+        fp = flip_point(z)
         rows.append(FigureRow("a", z, fp.k_star, 1.0, 0.0, Direction.NEUTRAL, ROW_FLIP))
     return rows
 
 
 def figure_panel_b(points: int = 120) -> list[FigureRow]:
     """BF01 vs tau for z = 2, n = 50 over tau in [0.1, 3], with marker
-    rows at the two headline scales and a flip row at tau*."""
+    rows at the two headline scales and a flip row at tau*: the normal
+    sweep of that setup, as figure rows."""
     setup = _FIGURE_B_SETUP
-    rows = []
-    for tau in scale_grid(*FIGURE_B_TAU_RANGE, points, "linear"):
-        res = bf01(setup, NormalPrior(tau))
-        rows.append(FigureRow("b", setup.z, tau, res.bf01, res.log_bf01, res.direction, ROW_POINT))
-    for tau in FIGURE_B_MARKER_TAUS:
-        res = bf01(setup, NormalPrior(tau))
-        rows.append(FigureRow("b", setup.z, tau, res.bf01, res.log_bf01, res.direction, ROW_MARKER))
-    fp = flip_point(setup.z, FlipMethod.BRACKETED)
-    ts = tau_star(fp.k_star, setup.n)
-    rows.append(FigureRow("b", setup.z, ts, 1.0, 0.0, Direction.NEUTRAL, ROW_FLIP))
-    return rows
+    markers = sweep_rows(setup, "normal", list(FIGURE_B_MARKER_TAUS))
+    rows = [*sweep_rows(setup, "normal", scale_grid(*FIGURE_B_TAU_RANGE, points, "linear")),
+            *(r._replace(kind=ROW_MARKER) for r in markers), sweep_flip_row(setup)]
+    return [FigureRow("b", setup.z, r.scale, r.bf01, r.log_bf01, r.direction, r.kind)
+            for r in rows]

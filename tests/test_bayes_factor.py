@@ -3,6 +3,7 @@ the structural properties that drive the reversal phenomenon."""
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from bayesflip.bayes_factor import (
     two_sided_p,
 )
 from bayesflip.errors import DomainError
+from bayesflip.flip import tau_star
 
 
 class TestSetupAndPrior:
@@ -216,6 +218,15 @@ class TestInputContract:
     def test_sample_size_must_be_an_integer(self, n):
         with pytest.raises(DomainError):
             TestSetup(n=n, z=2.0)
+
+    def test_sample_size_beyond_float_range_names_n(self):
+        """n = 10**400 used to fail later with a bare OverflowError."""
+        for make in (lambda n: TestSetup(n, 2.0), lambda n: tau_star(4.0, n)):
+            with pytest.raises(DomainError, match="sample size n must fit in a float"):
+                make(10**400)
+            with pytest.raises(DomainError, match="1024-bit"):
+                make(int(sys.float_info.max) + 1)
+        assert TestSetup(int(sys.float_info.max), 2.0).n == int(sys.float_info.max)
 
     def test_integer_like_sample_sizes_accepted(self):
         assert TestSetup(n=np.int64(50), z=2.0).n == 50

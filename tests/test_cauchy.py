@@ -3,6 +3,7 @@ the quadrature oracle of ``tests/_quadrature.py`` against the normal
 closed form."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,26 @@ class TestCauchyFlipScale:
         assert r3 > 0.707
         assert bf01_cauchy(TestSetup(n=50, z=3.0), CauchyPrior(r3)).log_bf01 == pytest.approx(
             0.0, abs=1e-9)
+
+
+class TestHugeZ:
+    """z^2 / 2 overflows a float: both used to return a number (inf, and
+    log BF01 = -inf with BF01 = 0.0)."""
+
+    @pytest.mark.parametrize("z", [1e200, -1e200])
+    def test_flip_scale_names_z(self, z):
+        with pytest.raises(DomainError, match=re.escape(f"z = {z}, n = 50")):
+            cauchy_flip_scale(TestSetup(50, z))
+
+    @pytest.mark.parametrize("z", [1e200, -1e200])
+    def test_bayes_factor_names_z(self, z):
+        with pytest.raises(DomainError, match=re.escape(f"z = {z}, r = 1.0")):
+            bf01_cauchy(TestSetup(50, z), CauchyPrior(1.0))
+
+    def test_largest_finite_flip_scale_is_kept(self):
+        # log r* just below log(DBL_MAX): exp is still a float
+        r_star = cauchy_flip_scale(TestSetup(1, 37.6))
+        assert 1e306 < r_star < math.inf
 
 
 class TestNormalViaQuadrature:

@@ -16,11 +16,15 @@ from bayesflip.bayes_factor import log_bf01
 REPO = Path(__file__).resolve().parents[1]
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def cli_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "bayesflip", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True, env=cli_env())
 
 
 def parse_csv(text: str) -> list[dict]:
@@ -314,6 +318,60 @@ class TestUnwritableOutput:
         assert cp.returncode == 1
         assert cp.stderr.startswith(f"error: cannot write {tmp_path}: ")
         assert "Traceback" not in cp.stderr
+
+
+class TestOutAndPrecisionFlags:
+    BF = ("bf", "--z", "2", "--n", "50", "--scale", "1")
+
+    def test_human_output_goes_to_out(self, tmp_path):
+        """--out used to be ignored without --format: the text went to stdout."""
+        out = tmp_path / "x.txt"
+        cp = run_cli(*self.BF, "--out", str(out))
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout == ""
+        assert out.read_text() == run_cli(*self.BF).stdout
+        assert out.read_text().startswith("z            2.0000\n")
+
+    def test_table1_has_no_precision_flag(self):
+        """table1 prints at published precision; it used to accept and
+        ignore --precision."""
+        cp = run_cli("table1", "--precision", "9")
+        assert cp.returncode == 2
+        assert "unrecognized arguments: --precision 9" in cp.stderr
+
+
+class TestClosedStdout:
+    """A reader that stops reading (`| head`) ends the command with exit 1
+    and nothing on stderr; it used to end in a BrokenPipeError traceback.
+    The commands run with stdout buffered, as by default: unbuffered, a
+    write that a full pipe cuts short is dropped without an error."""
+
+    @staticmethod
+    def env() -> dict:
+        env = cli_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        return env
+
+    @pytest.mark.parametrize("args", [("table1",), ("figure1", "--format", "csv")])
+    def test_pipe_closed_before_any_write(self, args):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        try:
+            cp = subprocess.run([sys.executable, "-m", "bayesflip", *args], stdout=write_end,
+                                stderr=subprocess.PIPE, text=True, env=self.env(), timeout=60)
+        finally:
+            os.close(write_end)
+        assert (cp.returncode, cp.stderr) == (1, "")
+
+    def test_reader_stops_after_one_line(self):
+        # figure1's CSV (~90 kB) overfills the pipe, so the command is
+        # still writing when the reader goes
+        proc = subprocess.Popen([sys.executable, "-m", "bayesflip", "figure1", "--format", "csv"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.env())
+        assert proc.stdout.readline().startswith(b"panel,z,x,")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, b"")
 
 
 class TestHugeScaleBounds:

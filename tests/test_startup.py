@@ -118,12 +118,14 @@ def test_lazy_exports_are_in_module_all():
 
 def test_kernels_are_one_module():
     """perfbench/tracer.py counts calls into modules named bayesflip._kernels
-    as its ``kernels`` layer."""
-    from bayesflip import _kernels
+    as its ``kernels`` layer; numerics exports the kernel's Lambert W
+    itself, not a wrapper around it."""
+    from bayesflip import _kernels, numerics
 
     assert not hasattr(_kernels, "__path__")
     for fn in (_kernels.lambert_w0, _kernels.log_re_faddeeva):
         assert fn.__module__ == "bayesflip._kernels"
+    assert numerics.lambert_w0 is _kernels.lambert_w0
 
 
 def test_runtime_is_stdlib_only():
