@@ -22,6 +22,9 @@ _TINY = 1e-300
 # for callers that computed -1/e themselves
 _W0_X_MIN = -math.exp(-1.0) - 4e-17
 _LAMBERT_REL_TOL = 1e-12
+# a residual |w e^w - x| this small relative to x is rounding: near -1/e,
+# where W0 is ill-conditioned, the step test may never be met
+_LAMBERT_RESIDUAL_TOL = 4e-16
 _LAMBERT_MAX_ITER = 200
 
 
@@ -30,7 +33,8 @@ def lambert_w0(x: float) -> float:
 
     Initial guess from the branch-point series near -1/e and the log-log
     asymptote for large x, refined by Halley iteration until its step is
-    below 1e-12 relative.  Raises DomainError for x below -1/e, infinite
+    below 1e-12 relative or the residual w e^w - x is at rounding level
+    (4e-16 relative to x).  Raises DomainError for x below -1/e, infinite
     or nan, MaxIterExceeded past 200 iterations.
     """
     if not _W0_X_MIN <= x < math.inf:  # nan fails too
@@ -52,7 +56,7 @@ def lambert_w0(x: float) -> float:
     for _ in range(_LAMBERT_MAX_ITER):
         ew = math.exp(w)
         f = w * ew - x
-        if f == 0.0:
+        if abs(f) <= _LAMBERT_RESIDUAL_TOL * abs(x):
             return w
         wp1 = w + 1.0
         if wp1 == 0.0:

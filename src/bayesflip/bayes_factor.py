@@ -71,23 +71,18 @@ class Direction(Enum):
         return self.value
 
 
-class TestSetup(record("TestSetup", "n z sigma")):
-    """Data summary: sample size n and z-statistic z = sqrt(n) * xbar.
-
-    The model fixes the known standard deviation at exactly 1; other
-    values are rejected rather than silently rescaled.
-    """
+class TestSetup(record("TestSetup", "n z")):
+    """Data summary: sample size n and z-statistic z = sqrt(n) * xbar,
+    under a model whose known standard deviation is 1."""
 
     __slots__ = ()
     __test__ = False  # bare data, despite the Test* name pytest looks for
 
-    def __new__(cls, n: int, z: float, sigma: float = 1.0):
+    def __new__(cls, n: int, z: float):
         _check_sample_size(n)
         if not math.isfinite(z):
             raise DomainError(f"z-statistic must be finite, got {z}")
-        if sigma != 1.0:
-            raise DomainError(f"the model fixes sigma = 1, got {sigma}")
-        return super().__new__(cls, n, z, sigma)
+        return super().__new__(cls, n, z)
 
     @property
     def xbar(self) -> float:
@@ -145,6 +140,9 @@ def log_bf01(z: float, k: float) -> float:
     if not 0.0 <= k < math.inf:
         raise DomainError(f"k must be nonnegative and finite, got {k}")
     log_bf = 0.5 * math.log1p(k) - z * z * k / (2.0 * (1.0 + k))
+    if not math.isfinite(log_bf):
+        # z^2 k overflows for k near DBL_MAX / z^2, where k / (1 + k) does not
+        log_bf = 0.5 * math.log1p(k) - 0.5 * z * z * (k / (1.0 + k))
     if not math.isfinite(log_bf):
         raise DomainError(f"log BF01 is not a finite float for z = {z}, k = {k}")
     return log_bf

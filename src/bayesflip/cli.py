@@ -55,12 +55,16 @@ class _OutputError(BayesFlipError):
 def build_parser() -> argparse.ArgumentParser:
     """The command's parser, built on the first call and shared by every
     later one: parsing leaves it unchanged, and callers must not modify it."""
+    # a fixed help width: the default asks the terminal, importing shutil
+    formatter = functools.partial(argparse.HelpFormatter, width=78)
     parser = argparse.ArgumentParser(
         prog="bayesflip",
         description="Bayes factors for the normal point null, prior-scale "
                     "flip points, and evidence-reversal demonstrations.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, formatter_class=formatter)
 
     def common(p, formats=("csv", "json"), precision=True):
         p.add_argument("--format", choices=formats, default=None,
@@ -70,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--precision", type=int, default=4,
                            help="decimal places for human-readable output (default 4)")
 
-    p = sub.add_parser("bf", help="Bayes factor for one prior scale")
+    p = add_parser("bf", help="Bayes factor for one prior scale")
     p.add_argument("--z", type=float, required=True, help="z-statistic")
     p.add_argument("--n", type=int, required=True, help="sample size")
     p.add_argument("--prior", choices=("normal", "cauchy"), default="normal")
@@ -78,14 +82,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="prior scale (tau for normal, r for cauchy)")
     common(p)
 
-    p = sub.add_parser("flip", help="flip point k* and critical prior scale")
+    p = add_parser("flip", help="flip point k* and critical prior scale")
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--n", type=int, default=None,
                    help="sample size for tau* = sqrt(k*/n) (optional)")
     p.add_argument("--method", choices=("bracketed", "lambert_w", "both"), default="both")
     common(p)
 
-    p = sub.add_parser("sweep", help="Bayes factor over a grid of prior scales")
+    p = add_parser("sweep", help="Bayes factor over a grid of prior scales")
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--prior", choices=("normal", "cauchy"), default="normal")
@@ -95,15 +99,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spacing", choices=("linear", "log"), default="linear")
     common(p, formats=("csv", "json", "svg"))
 
-    p = sub.add_parser("table1", help="flip points for the reference z grid")
+    p = add_parser("table1", help="flip points for the reference z grid")
     common(p, precision=False)  # always printed at published precision
 
-    p = sub.add_parser("figure1", help="datasets behind the two reversal panels")
+    p = add_parser("figure1", help="datasets behind the two reversal panels")
     p.add_argument("--points-a", type=int, default=200, help="grid points per panel-A curve")
     p.add_argument("--points-b", type=int, default=120, help="grid points for panel B")
     common(p, formats=("csv", "json", "svg"))
 
-    p = sub.add_parser("paradox", help="construct a reversal pair for the data")
+    p = add_parser("paradox", help="construct a reversal pair for the data")
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--spread", type=float, default=0.5,

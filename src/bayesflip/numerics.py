@@ -1,6 +1,5 @@
-"""Self-contained numerical layer: Brent's bracketed root finding, the
-principal branch of the Lambert W function (the kernel in ``_kernels``),
-and the standard normal density and distribution function.
+"""Self-contained numerical layer: Brent's bracketed root finding and the
+principal branch of the Lambert W function (the kernel in ``_kernels``).
 
 Everything here is a pure function of its inputs and safe to call from
 multiple threads.
@@ -8,16 +7,12 @@ multiple threads.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 
 from ._kernels import lambert_w0
 from .errors import DomainError, MaxIterExceeded, NoSignChange
 
-__all__ = ["find_root", "lambert_w0", "std_normal_pdf", "std_normal_cdf"]
-
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+__all__ = ["find_root", "lambert_w0"]
 
 # find_root's relative tolerance and iteration cap
 _REL_TOL = 1e-12
@@ -93,13 +88,3 @@ def find_root(f: Callable[[float], float], lo: float, hi: float,
             c, fc = a, fa
             e = d = b - a
     raise MaxIterExceeded(f"root not localized within {_MAX_ITER} iterations")
-
-
-def std_normal_pdf(x: float) -> float:
-    """Standard normal density."""
-    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
-
-
-def std_normal_cdf(x: float) -> float:
-    """Standard normal distribution function, via erfc for tail accuracy."""
-    return 0.5 * math.erfc(-x / _SQRT2)

@@ -28,8 +28,8 @@ class TestSetupAndPrior:
     def test_setup_validation(self):
         with pytest.raises(DomainError):
             TestSetup(n=0, z=1.0)
-        with pytest.raises(DomainError):
-            TestSetup(n=10, z=1.0, sigma=2.0)
+        with pytest.raises(TypeError):  # the model fixes sigma = 1
+            TestSetup(n=10, z=1.0, sigma=1.0)
 
     def test_xbar_is_z_over_sqrt_n(self):
         setup = TestSetup(n=50, z=2.0)
@@ -264,6 +264,14 @@ def test_log_bf01_rejects_non_finite_k(k):
 def test_overflowing_prior_precision_names_k():
     with pytest.raises(DomainError, match="k must be nonnegative and finite, got inf"):
         bf01(TestSetup(n=50, z=2.0), NormalPrior(1e307))
+
+
+def test_prior_precision_where_z2_k_overflows():
+    """z^2 k overflows for k near 1e306 while log BF01 stays finite: this
+    was a DomainError.  The reference is mpmath at 50 digits."""
+    res = bf01(TestSetup(n=1, z=30.0), NormalPrior(1e153))
+    assert res.log_bf01 == pytest.approx(-97.70448077191101, rel=1e-15)
+    assert res.direction is Direction.FAVOURS_H1
 
 
 @pytest.mark.parametrize("fn,args,names", [

@@ -1,5 +1,5 @@
 """Cauchy-prior Bayes factors, the numerically located flip scale, and
-the quadrature oracle of ``tests/_quadrature.py`` against the normal
+the scipy quadrature oracle of ``tests/_oracles.py`` against the normal
 closed form."""
 
 import math
@@ -12,7 +12,7 @@ from bayesflip.bayes_factor import NormalPrior, TestSetup, bf01, log_bf01
 from bayesflip.cauchy import CauchyPrior, bf01_cauchy, cauchy_flip_scale
 from bayesflip.errors import DomainError, NoFlipPoint
 
-from _quadrature import MarginalIntegrand, bf01_normal_via_quadrature, marginal_log_integral
+from _oracles import quad_log_bf01
 
 SETUP_Z2_N50 = TestSetup(n=50, z=2.0)
 
@@ -108,36 +108,19 @@ class TestHugeZ:
 
 class TestNormalViaQuadrature:
     def test_matches_closed_form_reference_case(self):
-        res = bf01_normal_via_quadrature(SETUP_Z2_N50, NormalPrior(0.8))
+        quad = math.exp(quad_log_bf01(2.0, 50, "normal", 0.8))
         closed = bf01(SETUP_Z2_N50, NormalPrior(0.8))
-        assert res.bf01 == pytest.approx(closed.bf01, rel=1e-8)
-        assert res.bf01 == pytest.approx(0.8260, abs=1e-3)
+        assert quad == pytest.approx(closed.bf01, rel=1e-8)
+        assert quad == pytest.approx(0.8260, abs=1e-3)
 
     def test_degenerate_prior_is_neutral(self):
-        res = bf01_normal_via_quadrature(SETUP_Z2_N50, NormalPrior(1e-9))
-        assert res.bf01 == pytest.approx(1.0, abs=1e-6)
+        assert math.exp(quad_log_bf01(2.0, 50, "normal", 1e-9)) == pytest.approx(1.0, abs=1e-6)
 
     def test_large_sample_value(self):
-        res = bf01_normal_via_quadrature(TestSetup(n=5000, z=1.96), NormalPrior(1.0))
-        assert res.bf01 == pytest.approx(10.4, abs=0.1)
-
-    def test_agreement_grid(self):
-        """Quadrature pipeline vs closed form on 50 (z, n, tau) triples:
-        1e-8 relative everywhere."""
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            z = float(rng.uniform(0.0, 4.0))
-            n = int(rng.choice([10, 50, 5000]))
-            tau = float(rng.uniform(0.05, 3.0))
-            quad = bf01_normal_via_quadrature(TestSetup(n=n, z=z), NormalPrior(tau))
-            closed = log_bf01(z, n * tau * tau)
-            assert quad.log_bf01 == pytest.approx(closed, abs=1e-8)
-            assert quad.bf01 == pytest.approx(math.exp(closed), rel=1e-8)
+        assert math.exp(quad_log_bf01(1.96, 5000, "normal", 1.0)) == pytest.approx(10.4, abs=0.1)
 
 
 class TestMarginalLogIntegral:
     def test_matches_headline_bayes_factor(self):
-        mi = MarginalIntegrand(z=2.0, n=50, prior_family="normal", scale=0.8)
-        log_m1 = marginal_log_integral(mi)
-        log_f0 = -0.5 * math.log(2.0 * math.pi) - 0.5 * 4.0
-        assert log_f0 - log_m1 == pytest.approx(log_bf01(2.0, 32.0), abs=1e-10)
+        assert quad_log_bf01(2.0, 50, "normal", 0.8) == pytest.approx(log_bf01(2.0, 32.0),
+                                                                      abs=1e-10)

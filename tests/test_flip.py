@@ -181,6 +181,13 @@ class TestReversalPair:
         assert pair.bf1 < 1.0 < pair.bf2
         assert pair.tau1 < pair.tau_star < pair.tau2
 
+    @pytest.mark.parametrize("z", [26.5, 26.6])
+    def test_pair_where_z2_k_overflows(self, z):
+        """The upper scale's k nears 1e306, where z^2 k overflowed."""
+        pair = reversal_pair(TestSetup(n=1, z=z))
+        assert pair.tau1 < pair.tau_star < pair.tau2
+        assert pair.bf1 < 1.0 < pair.bf2
+
     def test_no_flip_point_for_small_z(self):
         with pytest.raises(NoFlipPoint):
             reversal_pair(TestSetup(n=50, z=1.0))

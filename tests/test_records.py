@@ -15,15 +15,12 @@ from bayesflip.flip import FlipPointResult, ReversalPair, flip_point, reversal_p
 from bayesflip.report import FigureRow, SweepRow, TableOneRow, sweep_flip_row, table_rows
 from bayesflip.svg import Marker, Series
 
-from _quadrature import MarginalIntegrand
-
 SETUP = TestSetup(50, 2.0)
 SAMPLES = [
     SETUP,
     NormalPrior(0.5),
     CauchyPrior(0.5),
     BayesFactorResult.from_log(-0.25),
-    MarginalIntegrand(2.0, 50, "cauchy", 0.7),
     flip_point(2.0),
     reversal_pair(SETUP),
     sweep_flip_row(SETUP),
@@ -33,9 +30,8 @@ SAMPLES = [
     Marker(1.0, 2.0, label="tau*"),
     Table("flip", ("z", "k_star"), ((2.0, 3.92),)),
 ]
-RECORD_TYPES = (TestSetup, NormalPrior, CauchyPrior, BayesFactorResult, MarginalIntegrand,
-                FlipPointResult, ReversalPair, SweepRow, TableOneRow, FigureRow, Series,
-                Marker, Table)
+RECORD_TYPES = (TestSetup, NormalPrior, CauchyPrior, BayesFactorResult, FlipPointResult,
+                ReversalPair, SweepRow, TableOneRow, FigureRow, Series, Marker, Table)
 
 
 def ids(records):
@@ -76,11 +72,8 @@ class TestEquality:
 INVALID = [
     (SETUP, "n", 0),
     (SETUP, "z", math.nan),
-    (SETUP, "sigma", 2.0),
     (NormalPrior(0.5), "tau", 0.0),
     (CauchyPrior(0.5), "r", math.inf),
-    (MarginalIntegrand(2.0, 50, "cauchy", 0.7), "prior_family", "laplace"),
-    (MarginalIntegrand(2.0, 50, "cauchy", 0.7), "scale", -1.0),
 ]
 
 
@@ -123,12 +116,12 @@ def test_pickle_round_trips_every_record(protocol):
 
 
 def test_repr():
-    assert repr(TestSetup(50, 2.0)) == "TestSetup(n=50, z=2.0, sigma=1.0)"
+    assert repr(TestSetup(50, 2.0)) == "TestSetup(n=50, z=2.0)"
     assert repr(NormalPrior(0.5)) == "NormalPrior(tau=0.5)"
     assert repr(Marker(1.0, 2.0)) == "Marker(x=1.0, y=2.0, label='')"
 
 
 def test_keyword_construction_and_defaults():
-    assert TestSetup(n=50, z=2.0) == TestSetup(50, 2.0, 1.0)
+    assert TestSetup(n=50, z=2.0) == TestSetup(50, 2.0)
     assert Marker(1.0, 2.0) == Marker(1.0, 2.0, "")
     assert Series("s", (), ()).color == "#1f77b4"

@@ -64,17 +64,17 @@ def package_modules() -> list[str]:
     return names
 
 
-# the quadrature oracle that moved to tests/_quadrature.py
-MOVED_TO_TESTS = ("PRIOR_NORMAL", "PRIOR_CAUCHY", "log_marginal_integrand", "_shifted_exp",
-                  "adaptive_simpson", "_simpson_split", "_spans", "integrate_log",
-                  "marginal_loglik", "MarginalIntegrand", "marginal_log_integral",
-                  "integrate_real_line", "bf01_normal_via_quadrature")
+# the hand-written quadrature oracle, deleted for scipy's quad in the tests
+QUADRATURE = ("PRIOR_NORMAL", "PRIOR_CAUCHY", "log_marginal_integrand", "_shifted_exp",
+              "adaptive_simpson", "_simpson_split", "_spans", "integrate_log",
+              "marginal_loglik", "MarginalIntegrand", "marginal_log_integral",
+              "integrate_real_line", "bf01_normal_via_quadrature")
 
 
 def test_no_module_ships_the_quadrature():
     for name in package_modules():
         module = importlib.import_module(name)
-        assert [m for m in MOVED_TO_TESTS if hasattr(module, m)] == [], name
+        assert [m for m in QUADRATURE if hasattr(module, m)] == [], name
 
 
 def test_no_public_function_takes_cfg():
@@ -96,8 +96,9 @@ def test_find_root_takes_the_bracket_and_one_tolerance():
     assert params["abs_tol"].default == 1e-14
 
 
-# pass-through records and knobs that were deleted
-REMOVED = ("RunConfig", "Bracket", "SolverConfig", "DEFAULT_CONFIG", "log_std_normal_pdf")
+# pass-through records, knobs and helpers that nothing ran
+REMOVED = ("RunConfig", "Bracket", "SolverConfig", "DEFAULT_CONFIG", "log_std_normal_pdf",
+           "std_normal_pdf", "std_normal_cdf")
 
 
 def test_removed_wrappers_stay_removed():
@@ -204,6 +205,16 @@ def test_no_dataclasses_typing_or_pathlib_at_start_up():
     for code in ("import bayesflip.cli", bf_argv("normal"), bf_argv("cauchy"), every_module):
         mods = loaded_by(code, "-S")
         assert not {"dataclasses", "inspect", "typing", "pathlib"} & mods, code
+
+
+def test_cli_does_not_ask_the_terminal_its_width():
+    """argparse imports shutil, and through it bz2, lzma and fnmatch,
+    only to size help text to the terminal; every parser has a fixed
+    width instead."""
+    mods = loaded_by('from bayesflip.cli import main\n'
+                     'main(["paradox", "--z", "2.5", "--n", "300"])', "-S")
+    assert "argparse" in mods
+    assert not {"shutil", "bz2", "lzma", "fnmatch"} & mods
 
 
 def test_import_bayesflip_loads_no_submodule():

@@ -1,7 +1,7 @@
 """The closed-form Voigt (Faddeeva) route for Cauchy-prior Bayes factors
 and flip scales, against oracles that share none of its code: mpmath at
-50 digits, scipy's wofz, and the adaptive quadrature of
-``tests/_quadrature.py``."""
+50 digits, scipy's wofz, and the scipy quadrature of
+``tests/_oracles.py``."""
 
 import math
 
@@ -15,7 +15,7 @@ from bayesflip.bayes_factor import TestSetup
 from bayesflip.cauchy import Z_CRIT, CauchyPrior, bf01_cauchy, cauchy_flip_scale
 from bayesflip.errors import DomainError, NoFlipPoint
 
-from _quadrature import MarginalIntegrand, log_std_normal_pdf, marginal_log_integral
+from _oracles import quad_log_bf01
 
 MP_DPS = 50
 
@@ -108,30 +108,20 @@ class TestAgainstWofz:
             assert got == pytest.approx(wofz_log_bf01(z, math.sqrt(n) * r), abs=1e-12)
 
 
-def quadrature_log_bf01(z, n, r):
-    mi = MarginalIntegrand(z=z, n=n, prior_family="cauchy", scale=r)
-    return log_std_normal_pdf(z) - marginal_log_integral(mi)
-
-
 class TestAgainstQuadrature:
     def test_realistic_grid(self):
+        """30 draws, plus two inputs once hard for quadrature: a coarse
+        piece accepted by chance, and a tiny r."""
         rng = np.random.default_rng(13)
+        cases = [(1.9715455944964426, 1463, 3.1498679315220457), (3.0, 10, 1e-6)]
         for _ in range(30):
             z = float(rng.uniform(0.0, 4.0))
             n = int(rng.choice([10, 50, 1000, 100000]))
             r = float(np.exp(rng.uniform(math.log(0.05), math.log(5.0))))
+            cases.append((z, n, r))
+        for z, n, r in cases:
             voigt = bf01_cauchy(TestSetup(n=n, z=z), CauchyPrior(r)).log_bf01
-            assert voigt == pytest.approx(quadrature_log_bf01(z, n, r), abs=1e-10)
-
-    def test_quadrature_accepts_no_piece_by_chance(self):
-        """Adaptive Simpson used to accept a coarse piece whose two
-        estimates agreed by chance, off by 9.6e-8 in log BF01 here; and
-        it missed its tolerance by 6.4e-11 at tiny r."""
-        z, n, r = 1.9715455944964426, 1463, 3.1498679315220457
-        assert quadrature_log_bf01(z, n, r) == pytest.approx(
-            mp_log_bf01(z, math.sqrt(n) * r), abs=1e-11)
-        assert quadrature_log_bf01(3.0, 10, 1e-6) == pytest.approx(
-            mp_log_bf01(3.0, math.sqrt(10) * 1e-6), abs=1e-11)
+            assert voigt == pytest.approx(quad_log_bf01(z, n, "cauchy", r), abs=1e-10)
 
 
 class TestFlipScale:
