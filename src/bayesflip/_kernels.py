@@ -98,6 +98,37 @@ _SMALL_Y = 0.5
 _SMALL_Y_MIN_X = 2.0
 _SERIES_TOL = 1e-17
 _SERIES_MAX_TERMS = 64
+# below this r^2 the asymptotic term count is looked up by int(r^2), above
+# it counted down from its value at the bound
+_DENSE_R2 = 2048
+
+
+def _asymptotic_tables():
+    """Horner coefficients and term-count thresholds of the asymptotic
+    series sum_k c_k u^k, c_k = (2k-1)!! / 2^k, u = zeta^-2.
+
+    Terms k = 0..K suffice once the first omitted one, c_{K+1} / r^{2(K+1)}
+    with r = |zeta|, is at most _SERIES_TOL (relative to the leading 1):
+    from r^2 >= thresholds[K] = (c_{K+1} / _SERIES_TOL)^(1/(K+1)) on.  The
+    thresholds fall with K, and the last one is at most _ASYMPTOTIC_R2, so
+    no point of the route needs more terms.  terms_at[m] is K at r^2 = m;
+    the thresholds are more than 1 apart, so at most one lies in [m, m+1).
+    """
+    c, thresholds, horner = [1.0], [], []
+    while not thresholds or thresholds[-1] > _ASYMPTOTIC_R2:
+        k = len(c)
+        horner.append(tuple(c[::-1]))  # c_{k-1}, ..., c_0
+        c.append(c[-1] * (k - 0.5))
+        thresholds.append((c[k] / _SERIES_TOL) ** (1.0 / k))
+    runs, lo = [], 0  # K = k on [ceil(thresholds[k]), ceil(thresholds[k - 1]))
+    for k in range(len(thresholds) - 1, -1, -1):
+        hi = min(math.ceil(thresholds[k - 1]), _DENSE_R2) if k else _DENSE_R2
+        runs.append(bytes([k]) * (hi - lo))
+        lo = hi
+    return tuple(thresholds), tuple(horner), b"".join(runs)
+
+
+_SERIES_R2, _HORNER, _TERMS_AT = _asymptotic_tables()
 
 
 def _weideman(x, y):
@@ -123,7 +154,11 @@ def log_re_faddeeva(x, y):
       w ~ i / (sqrt(pi) zeta) * sum_k (2k-1)!! / (2 zeta^2)^k, whose real
       part is a sum of nonnegative terms, taken in log space so neither
       y -> 0 nor y -> inf underflows; for y < 1 it is joined by the
-      exp(-zeta^2) term that the series misses on the real axis.
+      exp(-zeta^2) term that the series misses on the real axis.  Terms
+      0..K are summed by Horner's rule over precomputed coefficients, in
+      real arithmetic, with K read from r^2 = x^2 + y^2 in a table of
+      thresholds: from each on, the first omitted term is at most 1e-17
+      (``_asymptotic_tables``).
     - y <= 0.5 and x >= 2: the real-axis split
       Re w = exp(y^2 - x^2) cos(2xy) - (2 / sqrt(pi)) Im F(x + iy), with
       Dawson's F(x) from the Weideman rational on the real axis and
@@ -132,18 +167,29 @@ def log_re_faddeeva(x, y):
     - elsewhere the Weideman rational.
     """
     x = abs(x)
-    if x * x + y * y >= _ASYMPTOTIC_R2:
-        v = 1.0 / complex(x, y)
-        u = v * v
-        term = total = 1.0 + 0j
-        for k in range(1, _SERIES_MAX_TERMS):
-            term *= (k - 0.5) * u
-            total += term
-            if abs(term) <= _SERIES_TOL * abs(total):
-                break
-        # Re(i * total / zeta) * |zeta|^2; Im(total) <= 0, so no cancellation
-        log_re = (math.log(y * total.real - x * total.imag)
-                  - 2.0 * math.log(math.hypot(x, y)) - _LOG_SQRT_PI)
+    r2 = x * x + y * y
+    if r2 >= _ASYMPTOTIC_R2:
+        k = _TERMS_AT[int(r2)] if r2 < _DENSE_R2 else _TERMS_AT[-1]
+        while k and r2 >= _SERIES_R2[k - 1]:
+            k -= 1
+        if k:
+            # the sum S at u = 1 / zeta^2 = a + ib by Horner's rule in real
+            # arithmetic (Goertzel): b_j = c_j + 2a b_{j+1} - |u|^2 b_{j+2},
+            # S = b_0 - conj(u) b_1
+            t = 1.0 / r2
+            a = (x - y) * (x + y) * t * t
+            b = -2.0 * x * y * t * t
+            p = a + a
+            q = a * a + b * b
+            b0 = b1 = 0.0
+            for c in _HORNER[k]:
+                b0, b1 = c + p * b0 - q * b1, b0
+            # Re(i S / zeta) |zeta|^2 = y Re S - x Im S; Im S <= 0: no cancellation.
+            # Its log and log r^2 are taken apart: the quotient, ~y / r^2,
+            # underflows for a subnormal y
+            log_re = math.log(y * (b0 - a * b1) - x * b * b1) - math.log(r2) - _LOG_SQRT_PI
+        else:  # S = 1; r^2 may overflow
+            log_re = math.log(y) - 2.0 * math.log(math.hypot(x, y)) - _LOG_SQRT_PI
         if y < 1.0:
             log_re += math.log1p(math.cos(2.0 * x * y) * math.exp(y * y - x * x - log_re))
         return log_re

@@ -82,7 +82,7 @@ class TestSetup(record("TestSetup", "n z")):
         _check_sample_size(n)
         if not math.isfinite(z):
             raise DomainError(f"z-statistic must be finite, got {z}")
-        return super().__new__(cls, n, z)
+        return tuple.__new__(cls, (n, z))
 
     @property
     def xbar(self) -> float:
@@ -102,11 +102,14 @@ class NormalPrior(record("NormalPrior", "tau")):
     def __new__(cls, tau: float):
         if not 0.0 < tau < math.inf:
             raise DomainError(f"tau must be positive and finite, got {tau}")
-        return super().__new__(cls, tau)
+        return tuple.__new__(cls, (tau,))
 
     def k(self, setup: TestSetup) -> float:
         """Derived prior precision relative to the data: n * tau^2."""
         return setup.n * self.tau * self.tau
+
+
+_NEUTRAL, _FAVOURS_H1, _FAVOURS_H0 = Direction.NEUTRAL, Direction.FAVOURS_H1, Direction.FAVOURS_H0
 
 
 class BayesFactorResult(record("BayesFactorResult", "bf01 log_bf01 direction")):
@@ -119,17 +122,18 @@ class BayesFactorResult(record("BayesFactorResult", "bf01 log_bf01 direction")):
         """Result for log BF01; BF01 underflows to 0.0 below about -745,
         and a log BF01 above log(DBL_MAX) ~ 709.78 raises DomainError."""
         if abs(log_bf) <= NEUTRAL_LOG_BAND:
-            direction = Direction.NEUTRAL
+            direction = _NEUTRAL
         elif log_bf < 0.0:
-            direction = Direction.FAVOURS_H1
+            direction = _FAVOURS_H1
         elif log_bf > 0.0:
             if log_bf > _LOG_DBL_MAX:
                 raise DomainError(f"BF01 overflows a float: log BF01 = {log_bf!r} is above "
                                   f"log(DBL_MAX) = {_LOG_DBL_MAX!r}")
-            direction = Direction.FAVOURS_H0
+            direction = _FAVOURS_H0
         else:  # only nan fails all three comparisons
             raise DomainError("log BF01 is nan")
-        return cls(math.exp(log_bf), log_bf, direction)
+        # the fields need no check: skip the namedtuple's Python __new__
+        return tuple.__new__(cls, (math.exp(log_bf), log_bf, direction))
 
 
 def log_bf01(z: float, k: float) -> float:

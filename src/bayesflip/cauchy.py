@@ -32,6 +32,7 @@ Z_CRIT = 1.306929727719281
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2_OVER_PI = 0.5 * math.log(2.0 / math.pi)
+_LOG_SQRT_PI_OVER_2 = -_LOG_SQRT_2_OVER_PI
 # gamma* = gamma_a * exp(-(z^2 + 1) / gamma_a^2 + ...), and from gamma_a =
 # 1e10 on the correction is below 5e-19: gamma_a is gamma* in double
 # precision.
@@ -47,7 +48,7 @@ class CauchyPrior(record("CauchyPrior", "r")):
     def __new__(cls, r: float):
         if not 0.0 < r < math.inf:
             raise DomainError(f"Cauchy scale must be positive and finite, got {r}")
-        return super().__new__(cls, r)
+        return tuple.__new__(cls, (r,))
 
 
 def _log_bf01_voigt(z: float, gamma: float) -> float:
@@ -57,13 +58,23 @@ def _log_bf01_voigt(z: float, gamma: float) -> float:
 
 def bf01_cauchy(setup: TestSetup, prior: CauchyPrior) -> BayesFactorResult:
     """Bayes factor in favour of the null under the Cauchy prior, from the
-    closed-form Voigt marginal."""
-    gamma = math.sqrt(setup.n) * prior.r
-    if gamma == math.inf:
-        raise DomainError(f"sqrt(n) * r overflows a float (n = {setup.n}, r = {prior.r})")
-    log_bf = _log_bf01_voigt(setup.z, gamma)
-    if not math.isfinite(log_bf):  # z^2 / 2 overflows
-        raise DomainError(f"log BF01 is not a finite float for z = {setup.z}, r = {prior.r}")
+    closed-form Voigt marginal.
+
+    Where gamma = sqrt(n) r overflows a float, Re w ~ 1 / (sqrt(pi) y)
+    gives log BF01 = -z^2/2 + log(sqrt(pi/2) gamma) in log gamma = log r +
+    log(n)/2, with a relative error O(gamma^-2) (gamma > 1.8e308 there).
+    Raises DomainError where log BF01 (z^2/2 overflows) or BF01 is not a
+    finite float.
+    """
+    r = prior.r
+    gamma = math.sqrt(setup.n) * r
+    if gamma < math.inf:
+        log_bf = _log_bf01_voigt(setup.z, gamma)
+    else:
+        log_bf = (-0.5 * setup.z * setup.z + _LOG_SQRT_PI_OVER_2
+                  + math.log(r) + 0.5 * math.log(setup.n))
+    if not math.isfinite(log_bf):
+        raise DomainError(f"log BF01 is not a finite float for z = {setup.z}, r = {r}")
     return BayesFactorResult.from_log(log_bf)
 
 
@@ -94,15 +105,22 @@ def cauchy_flip_scale(setup: TestSetup) -> float:
     if log_gamma_a < _LOG_GAMMA_ASYMPTOTIC:
         gamma_a = math.exp(log_gamma_a)
 
-        def f(s: float) -> float:
+        def g(s: float) -> float:
             return _log_bf01_voigt(z, gamma_a * math.exp(s))
 
         lo = 0.0
-        while not f(lo) < 0.0:
+        known = {lo: g(lo)}  # g at the points the bracket search tried
+        while not known[lo] < 0.0:
             lo -= 1.0
             if lo < -_MAX_BRACKET_STEPS:
                 raise ConvergenceError(
                     f"log BF01 does not resolve below 0 for |z| = {z}, too close to {Z_CRIT}")
+            known[lo] = g(lo)
+
+        def f(s: float) -> float:
+            v = known.pop(s, None)  # Brent starts at the bracket ends
+            return g(s) if v is None else v
+
         log_gamma += find_root(f, lo, lo + 1.0)
     log_r = log_gamma - 0.5 * math.log(setup.n)
     if log_r > _LOG_DBL_MAX:

@@ -337,9 +337,24 @@ _HANDLERS = {
 # --- output ---------------------------------------------------------------
 
 def _write(text: str, out: str | None) -> None:
-    """Write text to stdout, or to the file out (_OutputError if it fails)."""
+    """Write text to stdout, or to the file out (_OutputError if it fails).
+
+    A stdout with a binary buffer gets the encoded bytes in a loop until
+    all are taken: the text layer over an unbuffered stdout (python -u)
+    drops what a short write left, so a reader that has gone would go
+    unnoticed.  A text-only stdout (io.StringIO) is written as text."""
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        if not text.endswith("\n"):
+            text += "\n"
+        stdout = sys.stdout
+        buffer = getattr(stdout, "buffer", None)
+        if buffer is None:
+            stdout.write(text)
+            return
+        stdout.flush()  # text written before goes first
+        data = memoryview(text.encode(stdout.encoding, stdout.errors))
+        while data:
+            data = data[buffer.write(data):]
         return
     try:
         with open(out, "w") as f:

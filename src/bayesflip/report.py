@@ -95,20 +95,18 @@ def scale_grid(lo: float, hi: float, points: int, spacing: str = "linear") -> li
 def sweep_rows(setup: TestSetup, prior_family: str, scales: list[float]) -> list[SweepRow]:
     """One SweepRow per scale; normal priors use the closed form, Cauchy
     priors the closed-form Voigt marginal."""
-    if prior_family == "cauchy":  # the only report that needs cauchy
-        from .cauchy import CauchyPrior, bf01_cauchy
-    rows = []
-    for s in scales:
-        if prior_family == "normal":
-            res = bf01(setup, NormalPrior(s))
-            k = setup.n * s * s
-        elif prior_family == "cauchy":
-            res = bf01_cauchy(setup, CauchyPrior(s))
-            k = None
-        else:
-            raise DomainError(f"unknown prior family {prior_family!r}")
-        rows.append(SweepRow(ROW_POINT, s, k, res.bf01, res.log_bf01, res.direction))
-    return rows
+    n = setup.n
+    if prior_family == "normal":
+        points = ((s, n * s * s, bf01(setup, NormalPrior(s))) for s in scales)
+    elif prior_family == "cauchy":
+        from .cauchy import CauchyPrior, bf01_cauchy  # the only report that needs cauchy
+
+        points = ((s, None, bf01_cauchy(setup, CauchyPrior(s))) for s in scales)
+    else:
+        raise DomainError(f"unknown prior family {prior_family!r}")
+    # a row ends with the result's fields and needs no check: skip the
+    # namedtuple's Python __new__
+    return [tuple.__new__(SweepRow, (ROW_POINT, s, k, *res)) for s, k, res in points]
 
 
 def sweep_flip_row(setup: TestSetup) -> SweepRow | None:

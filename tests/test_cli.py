@@ -343,8 +343,9 @@ class TestOutAndPrecisionFlags:
 class TestClosedStdout:
     """A reader that stops reading (`| head`) ends the command with exit 1
     and nothing on stderr; it used to end in a BrokenPipeError traceback.
-    The commands run with stdout buffered, as by default: unbuffered, a
-    write that a full pipe cuts short is dropped without an error."""
+    The commands run with stdout buffered, as by default, and once
+    unbuffered, where the text layer used to drop what a full pipe had
+    not taken and exit 0."""
 
     @staticmethod
     def env() -> dict:
@@ -363,15 +364,24 @@ class TestClosedStdout:
             os.close(write_end)
         assert (cp.returncode, cp.stderr) == (1, "")
 
-    def test_reader_stops_after_one_line(self):
+    @staticmethod
+    def read_one_line_and_close(env: dict) -> tuple:
         # figure1's CSV (~90 kB) overfills the pipe, so the command is
         # still writing when the reader goes
         proc = subprocess.Popen([sys.executable, "-m", "bayesflip", "figure1", "--format", "csv"],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.env())
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         assert proc.stdout.readline().startswith(b"panel,z,x,")
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
-        assert (proc.returncode, err) == (1, b"")
+        return proc.returncode, err
+
+    def test_reader_stops_after_one_line(self):
+        assert self.read_one_line_and_close(self.env()) == (1, b"")
+
+    def test_reader_stops_after_one_line_unbuffered(self):
+        env = self.env()
+        env["PYTHONUNBUFFERED"] = "1"
+        assert self.read_one_line_and_close(env) == (1, b"")
 
 
 class TestHugeScaleBounds:
@@ -385,16 +395,19 @@ class TestHugeScaleBounds:
         assert all(math.isfinite(s) for s in scales)
         assert all(math.isfinite(float(r["log_bf01"])) for r in rows)
 
-    def test_cauchy_sweep_stops_where_gamma_overflows(self):
-        # sqrt(50) * r is not a float from r ~ 2.5e307: a finite grid point
-        # fails bf01_cauchy's own range check, not an inf grid point
+    def test_cauchy_sweep_past_where_gamma_overflows(self):
+        # sqrt(50) * r is not a float from r ~ 2.5e307; log BF01 is taken
+        # in log gamma there, and it rises on across the overflow
         cp = run_cli("sweep", "--z", "2", "--n", "50", "--prior", "cauchy",
-                     "--scale-min", "0.1", "--scale-max", "1e308")
-        assert cp.returncode == 1
-        lines = cp.stderr.strip().splitlines()
-        assert len(lines) == 1, cp.stderr
-        assert lines[0].startswith("error: sqrt(n) * r overflows a float (n = 50, r = ")
-        assert "inf" not in lines[0]
+                     "--scale-min", "0.1", "--scale-max", "1e308", "--format", "csv")
+        assert (cp.returncode, cp.stderr) == (0, "")
+        rows = parse_csv(cp.stdout)
+        scales = [float(r["scale"]) for r in rows]
+        log_bf = [float(r["log_bf01"]) for r in rows]
+        assert len(rows) == 100 and scales[-1] == 1e308
+        assert any(math.sqrt(50) * s == math.inf for s in scales)
+        assert all(math.isfinite(v) for v in log_bf)
+        assert all(b > a for a, b in zip(log_bf, log_bf[1:]))
 
 
 class TestParserReuse:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import wofz
 
-from bayesflip import _kernels
+from bayesflip import _kernels, cauchy
 from bayesflip.bayes_factor import TestSetup
 from bayesflip.cauchy import Z_CRIT, CauchyPrior, bf01_cauchy, cauchy_flip_scale
 from bayesflip.errors import DomainError, NoFlipPoint
@@ -88,6 +88,28 @@ class TestAgainstMpmath:
             for g in (1e-9, 1e-7, 1e-6, 1e-4, 1e-2):
                 assert voigt_log_bf01(z, g) == pytest.approx(mp_log_bf01(z, g), abs=1e-12)
 
+    def test_vanishing_y_on_the_asymptotic_route(self):
+        """|zeta| >= 7 with y near and below the smallest normal float,
+        against the route's own model summed at 50 digits:
+        Re w = exp(y^2 - x^2) cos(2xy) + Re(i / (sqrt(pi) zeta) sum_k c_k zeta^-2k),
+        c_k = (2k-1)!! / 2^k, summed while the terms fall."""
+        for x, y in ((7.5, 1e-300), (27.0, 1e-300), (27.0, 1e-310), (1e4, 1e-305)):
+            with mpmath.workdps(MP_DPS):
+                zeta = mpmath.mpc(x, y)
+                u, term, total, k = 1 / (zeta * zeta), mpmath.mpc(1), mpmath.mpc(1), 0
+                while True:
+                    k += 1
+                    nxt = term * (k - mpmath.mpf(0.5)) * u
+                    if abs(nxt) >= abs(term) or abs(nxt) < mpmath.mpf(10) ** -40:
+                        break
+                    term, total = nxt, total + nxt
+                series = mpmath.re(1j * total / zeta) / mpmath.sqrt(mpmath.pi)
+                mx, my = mpmath.mpf(x), mpmath.mpf(y)
+                want = mpmath.log(mpmath.exp(my * my - mx * mx) * mpmath.cos(2 * mx * my) + series)
+            assert _kernels.log_re_faddeeva(x, y) == pytest.approx(float(want), abs=1e-12)
+        # the least subnormal y: Re w ~ y / (sqrt(pi) x^2) is not a float
+        assert math.isfinite(_kernels.log_re_faddeeva(30.0, 5e-324))
+
 
 class TestAgainstWofz:
     def test_dense_grid(self):
@@ -154,11 +176,120 @@ class TestFlipScale:
             x0 = mpmath.findroot(lambda x: 2 * x * dawson(x) - 1, 0.92)
             assert Z_CRIT == pytest.approx(float(mpmath.sqrt(2) * x0), rel=1e-15)
 
+    def test_kernel_is_never_evaluated_twice_at_one_point(self, monkeypatch):
+        """Brent starts at the bracket ends, which the bracket search has
+        already evaluated."""
+        seen = []
+
+        def recording(x, y):
+            seen.append((x, y))
+            return _kernels.log_re_faddeeva(x, y)
+
+        monkeypatch.setattr(cauchy, "log_re_faddeeva", recording)
+        for z in self.Z:
+            for n in self.N:
+                seen.clear()
+                cauchy_flip_scale(TestSetup(n=n, z=z))
+                assert len(set(seen)) == len(seen), (z, n)
+
     def test_overflowing_flip_scale_is_a_domain_error(self):
         with pytest.raises(DomainError):
             cauchy_flip_scale(TestSetup(n=1, z=37.8))
         # the same z resolves once sqrt(n) brings r* back into range
         assert math.isfinite(cauchy_flip_scale(TestSetup(n=10**9, z=37.8)))
+
+
+class TestHugeGamma:
+    """gamma = sqrt(n) r near and past the largest float: past it, log BF01
+    is taken in log gamma (Re w ~ 1 / (sqrt(pi) y))."""
+
+    @pytest.mark.parametrize("z,n,r", [
+        (3.0, 10**6, 1.1e305),  # gamma = 1.1e308, still a float
+        (2.0, 50, 2.5e307),     # gamma = 1.77e308, among the last floats
+        (2.0, 50, 2.6e307),     # gamma overflows from here on
+        (2.0, 50, 1e308),
+        (3.0, 50, 1.7e308),
+        (30.0, 50, 1e308),
+    ])
+    def test_against_mpmath(self, z, n, r):
+        got = bf01_cauchy(TestSetup(n=n, z=z), CauchyPrior(r)).log_bf01
+        with mpmath.workdps(MP_DPS):
+            gamma = mpmath.sqrt(n) * mpmath.mpf(r)
+        assert got == pytest.approx(mp_log_bf01(z, gamma), rel=4e-16)
+
+    def test_log_bf01_overflowing_a_float_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="BF01 overflows a float"):
+            bf01_cauchy(TestSetup(n=50, z=0.5), CauchyPrior(1e308))
+
+
+def _series_terms_needed(r2):
+    """The least K with c_{K+1} / r2^(K+1) <= 1e-17, c_k = (2k-1)!! / 2^k,
+    at 50 digits: terms 0..K of the asymptotic series suffice."""
+    with mpmath.workdps(MP_DPS):
+        r2, c, k = mpmath.mpf(r2), mpmath.mpf(1), 0
+        while True:
+            c *= k + mpmath.mpf(0.5)  # c_{k+1}
+            if c / r2 ** (k + 1) <= mpmath.mpf("1e-17"):
+                return k
+            k += 1
+
+
+def _points_on_circle(r2, y_near):
+    """Points (x, y) whose float x*x + y*y is exactly r2, for y near each
+    of y_near; the kernel routes on that sum."""
+    points = []
+    for y0 in y_near:
+        y = y0
+        for _ in range(200):
+            x0 = math.sqrt(max(r2 - y * y, 0.0))
+            hit = next((x for x in (x0, *(x0 + d * math.ulp(x0) for d in (-2, -1, 1, 2)))
+                        if x * x + y * y == r2), None)
+            if hit is not None:
+                points.append((hit, y))
+                break
+            # the next y moves y*y by about a third of an ulp of r2
+            y += max(math.ulp(y), 0.37 * math.ulp(r2) / (2.0 * y))
+        else:
+            raise AssertionError(f"no float point at r^2 = {r2!r} near y = {y0}")
+    return points
+
+
+class TestAsymptoticBorders:
+    """The asymptotic route starts at |zeta|^2 = 49 and sums a number of
+    terms read from r^2 = x^2 + y^2: both borders, from either side, and on
+    each side of y = 1, where the exp(-zeta^2) term joins."""
+
+    THRESHOLDS = (_kernels._ASYMPTOTIC_R2, float(_kernels._DENSE_R2),
+                  *(t for t in _kernels._SERIES_R2 if t >= _kernels._ASYMPTOTIC_R2))
+
+    def test_thresholds_are_where_one_term_fewer_suffices(self):
+        table = _kernels._SERIES_R2
+        assert table[-1] <= _kernels._ASYMPTOTIC_R2 < table[-2]
+        for k, t in enumerate(table):
+            assert _series_terms_needed(t * (1 + 1e-14)) == k
+            assert _series_terms_needed(t * (1 - 1e-14)) == k + 1
+        assert len(_kernels._HORNER) == len(table)
+        for k, coeffs in enumerate(_kernels._HORNER):
+            c = [1.0]
+            for j in range(1, k + 1):
+                c.append(c[-1] * (2 * j - 1) / 2)
+            assert coeffs == tuple(reversed(c))
+
+    def test_dense_lookup_matches_the_thresholds(self):
+        table = _kernels._SERIES_R2
+        for m in range(49, _kernels._DENSE_R2):
+            assert _kernels._TERMS_AT[m] == sum(t > m for t in table[:-1])
+
+    @pytest.mark.parametrize("r2", THRESHOLDS)
+    def test_accuracy_on_both_sides(self, r2):
+        worst = 0.0
+        for r2_side in (math.nextafter(r2, 0.0), r2, math.nextafter(r2, math.inf)):
+            y_near = (0.01, 0.5, 0.999, 1.0, 3.0, math.sqrt(r2) * 0.8, math.sqrt(r2) * 0.999)
+            for x, y in _points_on_circle(r2_side, y_near):
+                with mpmath.workdps(MP_DPS):
+                    want = mpmath.log(mp_re_w(mpmath.mpf(x), mpmath.mpf(y)))
+                worst = max(worst, abs(_kernels.log_re_faddeeva(x, y) - float(want)))
+        assert worst <= 1e-13
 
 
 class TestInputs:
