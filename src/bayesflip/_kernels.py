@@ -132,11 +132,24 @@ _SERIES_R2, _HORNER, _TERMS_AT = _asymptotic_tables()
 
 
 def _weideman(x, y):
+    """w(x + iy) from the Weideman rational.
+
+    p(Z) is summed in real arithmetic by the Goertzel (Clenshaw)
+    recurrence b_j = a_j + 2u b_{j+1} - |Z|^2 b_{j+2}, with Z = u + iv and
+    p(Z) = b_0 - conj(Z) b_1: 2 multiplies and 2 adds a term, and no
+    complex object per term.  |Z|^2 is u*u + v*v from u and v as they
+    are used, so the quadratic the recurrence divides by vanishes at Z
+    to one rounding; a |Z|^2 rounded apart doubles the error near Z = 1
+    (zeta -> 0).
+    """
     d = complex(_WEIDEMAN_L + y, -x)  # L - i*zeta
     big_z = complex(_WEIDEMAN_L - y, x) / d
-    p = 0j
-    for c in _WEIDEMAN_A:
-        p = p * big_z + c
+    u, v = big_z.real, big_z.imag
+    u2, q = u + u, u * u + v * v
+    b0 = b1 = 0.0
+    for a in _WEIDEMAN_A:
+        b0, b1 = a + u2 * b0 - q * b1, b0
+    p = complex(b0 - u * b1, v * b1)
     return 2.0 * p / (d * d) + _INV_SQRT_PI / d
 
 
@@ -164,7 +177,8 @@ def log_re_faddeeva(x, y):
       Dawson's F(x) from the Weideman rational on the real axis and
       Im F(x + iy) from its Taylor series in iy, the derivatives by
       F^(k+1) = -2x F^(k) - 2k F^(k-1).
-    - elsewhere the Weideman rational.
+    - elsewhere the Weideman rational, its polynomial summed by the same
+      Goertzel recurrence (``_weideman``).
     """
     x = abs(x)
     r2 = x * x + y * y

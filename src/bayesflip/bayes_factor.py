@@ -112,28 +112,42 @@ class NormalPrior(record("NormalPrior", "tau")):
 _NEUTRAL, _FAVOURS_H1, _FAVOURS_H0 = Direction.NEUTRAL, Direction.FAVOURS_H1, Direction.FAVOURS_H0
 
 
+def _from_log(cls: type, log_bf: float) -> tuple:
+    """Record of type cls with the fields (BF01, log BF01, direction) for
+    log BF01; BF01 underflows to 0.0 below about -745, and a log BF01 above
+    log(DBL_MAX) ~ 709.78 raises DomainError.  cls = tuple gives the bare
+    fields, which Cauchy sweep rows take without a result record."""
+    if abs(log_bf) <= NEUTRAL_LOG_BAND:
+        direction = _NEUTRAL
+    elif log_bf < 0.0:
+        direction = _FAVOURS_H1
+    elif log_bf > 0.0:
+        if log_bf > _LOG_DBL_MAX:
+            raise DomainError(f"BF01 overflows a float: log BF01 = {log_bf!r} is above "
+                              f"log(DBL_MAX) = {_LOG_DBL_MAX!r}")
+        direction = _FAVOURS_H0
+    else:  # only nan fails all three comparisons
+        raise DomainError("log BF01 is nan")
+    # the fields need no check: skip the namedtuple's Python __new__
+    return tuple.__new__(cls, (math.exp(log_bf), log_bf, direction))
+
+
 class BayesFactorResult(record("BayesFactorResult", "bf01 log_bf01 direction")):
     """BF01 with its natural log and the direction of evidence."""
 
     __slots__ = ()
 
-    @classmethod
-    def from_log(cls, log_bf: float) -> "BayesFactorResult":
-        """Result for log BF01; BF01 underflows to 0.0 below about -745,
-        and a log BF01 above log(DBL_MAX) ~ 709.78 raises DomainError."""
-        if abs(log_bf) <= NEUTRAL_LOG_BAND:
-            direction = _NEUTRAL
-        elif log_bf < 0.0:
-            direction = _FAVOURS_H1
-        elif log_bf > 0.0:
-            if log_bf > _LOG_DBL_MAX:
-                raise DomainError(f"BF01 overflows a float: log BF01 = {log_bf!r} is above "
-                                  f"log(DBL_MAX) = {_LOG_DBL_MAX!r}")
-            direction = _FAVOURS_H0
-        else:  # only nan fails all three comparisons
-            raise DomainError("log BF01 is nan")
-        # the fields need no check: skip the namedtuple's Python __new__
-        return tuple.__new__(cls, (math.exp(log_bf), log_bf, direction))
+    from_log = classmethod(_from_log)
+
+    def posterior_h0(self, pi0: float = 0.5) -> float:
+        """Posterior probability of the null at prior probability pi0:
+        ``posterior_prob_h0(bf01, pi0)``, or, where BF01 underflowed to
+        0.0, exp(log BF01 + log(pi0 / (1 - pi0))), which is the same to
+        rounding there (pi0 BF01 is far below 1 - pi0 >= 2^-53)."""
+        if self.bf01 > 0.0:
+            return posterior_prob_h0(self.bf01, pi0)
+        _check_pi0(pi0)
+        return math.exp(self.log_bf01 + math.log(pi0) - math.log1p(-pi0))
 
 
 def log_bf01(z: float, k: float) -> float:
@@ -194,9 +208,13 @@ def posterior_prob_h0(bf: float, pi0: float = 0.5) -> float:
     """
     if not 0.0 < bf < math.inf:
         raise DomainError(f"bf01 must be positive and finite, got {bf}")
+    _check_pi0(pi0)
+    return pi0 * bf / (pi0 * bf + 1.0 - pi0)
+
+
+def _check_pi0(pi0: float) -> None:
     if not 0.0 < pi0 < 1.0:
         raise DomainError(f"pi0 must lie in (0, 1), got {pi0}")
-    return pi0 * bf / (pi0 * bf + 1.0 - pi0)
 
 
 def two_sided_p(z: float) -> float:

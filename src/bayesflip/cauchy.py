@@ -38,6 +38,7 @@ _LOG_SQRT_PI_OVER_2 = -_LOG_SQRT_2_OVER_PI
 # precision.
 _LOG_GAMMA_ASYMPTOTIC = math.log(1e10)
 _MAX_BRACKET_STEPS = 64
+_BAD_SCALE = "Cauchy scale must be positive and finite, got {}"
 
 
 class CauchyPrior(record("CauchyPrior", "r")):
@@ -47,35 +48,40 @@ class CauchyPrior(record("CauchyPrior", "r")):
 
     def __new__(cls, r: float):
         if not 0.0 < r < math.inf:
-            raise DomainError(f"Cauchy scale must be positive and finite, got {r}")
+            raise DomainError(_BAD_SCALE.format(r))
         return tuple.__new__(cls, (r,))
 
 
-def _log_bf01_voigt(z: float, gamma: float) -> float:
-    x = abs(z) / _SQRT2
-    return -x * x - log_re_faddeeva(x, gamma / _SQRT2)
-
-
-def bf01_cauchy(setup: TestSetup, prior: CauchyPrior) -> BayesFactorResult:
-    """Bayes factor in favour of the null under the Cauchy prior, from the
-    closed-form Voigt marginal.
+def _log_bf01(z: float, n: int, r: float) -> float:
+    """log BF01 at scale r for a valid sample size n: ``bf01_cauchy``,
+    Cauchy sweeps once per point with no prior or result record, and the
+    flip-scale search in gamma (r = gamma at n = 1).
 
     Where gamma = sqrt(n) r overflows a float, Re w ~ 1 / (sqrt(pi) y)
     gives log BF01 = -z^2/2 + log(sqrt(pi/2) gamma) in log gamma = log r +
     log(n)/2, with a relative error O(gamma^-2) (gamma > 1.8e308 there).
-    Raises DomainError where log BF01 (z^2/2 overflows) or BF01 is not a
-    finite float.
+    Raises DomainError for a scale that is not positive and finite, and
+    where log BF01 is not a finite float (z^2/2 overflows).
     """
-    r = prior.r
-    gamma = math.sqrt(setup.n) * r
+    if not 0.0 < r < math.inf:
+        raise DomainError(_BAD_SCALE.format(r))
+    gamma = math.sqrt(n) * r
     if gamma < math.inf:
-        log_bf = _log_bf01_voigt(setup.z, gamma)
+        x = abs(z) / _SQRT2
+        log_bf = -x * x - log_re_faddeeva(x, gamma / _SQRT2)
     else:
-        log_bf = (-0.5 * setup.z * setup.z + _LOG_SQRT_PI_OVER_2
-                  + math.log(r) + 0.5 * math.log(setup.n))
+        log_bf = -0.5 * z * z + _LOG_SQRT_PI_OVER_2 + math.log(r) + 0.5 * math.log(n)
     if not math.isfinite(log_bf):
-        raise DomainError(f"log BF01 is not a finite float for z = {setup.z}, r = {r}")
-    return BayesFactorResult.from_log(log_bf)
+        raise DomainError(f"log BF01 is not a finite float for z = {z}, r = {r}")
+    return log_bf
+
+
+def bf01_cauchy(setup: TestSetup, prior: CauchyPrior) -> BayesFactorResult:
+    """Bayes factor in favour of the null under the Cauchy prior, from the
+    closed-form Voigt marginal (``_log_bf01``).  Raises DomainError where
+    log BF01 (z^2/2 overflows) or BF01 is not a finite float.
+    """
+    return BayesFactorResult.from_log(_log_bf01(setup.z, setup.n, prior.r))
 
 
 def cauchy_flip_scale(setup: TestSetup) -> float:
@@ -106,7 +112,7 @@ def cauchy_flip_scale(setup: TestSetup) -> float:
         gamma_a = math.exp(log_gamma_a)
 
         def g(s: float) -> float:
-            return _log_bf01_voigt(z, gamma_a * math.exp(s))
+            return _log_bf01(z, 1, gamma_a * math.exp(s))  # gamma = r at n = 1
 
         lo = 0.0
         known = {lo: g(lo)}  # g at the points the bracket search tried

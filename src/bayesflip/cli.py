@@ -158,9 +158,7 @@ def _cmd_bf(args: argparse.Namespace) -> tuple:
 
         res = cauchy.bf01_cauchy(setup, cauchy.CauchyPrior(args.scale))
         k = None
-    # BF01 underflows to 0.0 below log BF01 ~ -745 (|z| >~ 39), where the
-    # posterior of H0, below the smallest float, correctly rounds to 0.0
-    post = posterior_prob_h0(res.bf01) if res.bf01 > 0.0 else 0.0
+    post = res.posterior_h0()
     d = args.precision
     human = "\n".join([
         f"z            {args.z:.{d}f}",

@@ -11,6 +11,7 @@ from .bayes_factor import (
     Direction,
     NormalPrior,
     TestSetup,
+    _from_log,
     bf01,
     log_bf01,
     two_sided_p,
@@ -96,17 +97,20 @@ def sweep_rows(setup: TestSetup, prior_family: str, scales: list[float]) -> list
     """One SweepRow per scale; normal priors use the closed form, Cauchy
     priors the closed-form Voigt marginal."""
     n = setup.n
-    if prior_family == "normal":
-        points = ((s, n * s * s, bf01(setup, NormalPrior(s))) for s in scales)
-    elif prior_family == "cauchy":
-        from .cauchy import CauchyPrior, bf01_cauchy  # the only report that needs cauchy
-
-        points = ((s, None, bf01_cauchy(setup, CauchyPrior(s))) for s in scales)
-    else:
-        raise DomainError(f"unknown prior family {prior_family!r}")
     # a row ends with the result's fields and needs no check: skip the
     # namedtuple's Python __new__
-    return [tuple.__new__(SweepRow, (ROW_POINT, s, k, *res)) for s, k, res in points]
+    if prior_family == "normal":
+        points = ((s, n * s * s, bf01(setup, NormalPrior(s))) for s in scales)
+        return [tuple.__new__(SweepRow, (ROW_POINT, s, k, *res)) for s, k, res in points]
+    if prior_family == "cauchy":
+        from .cauchy import _log_bf01  # the only report that needs cauchy
+
+        z = setup.z
+        # each row's fields as bf01_cauchy's, without a prior or result record
+        return [tuple.__new__(SweepRow, (ROW_POINT, s, None,
+                                         *_from_log(tuple, _log_bf01(z, n, s))))
+                for s in scales]
+    raise DomainError(f"unknown prior family {prior_family!r}")
 
 
 def sweep_flip_row(setup: TestSetup) -> SweepRow | None:

@@ -5,6 +5,7 @@ import math
 import re
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -184,6 +185,36 @@ class TestPosteriorProbability:
             posterior_prob_h0(1.0, pi0=0.0)
         with pytest.raises(DomainError):
             posterior_prob_h0(1.0, pi0=1.0)
+
+    @pytest.mark.parametrize("pi0", [0.5, 0.01, 0.99, 1e-300, 1.0 - 2.0 ** -53])
+    def test_result_posterior_is_the_formula_where_bf_is_positive(self, pi0):
+        for setup, tau in ((TestSetup(50, 2.0), 0.8), (TestSetup(50, 2.0), 1.5),
+                           (TestSetup(50, 38.0), 1.0)):  # BF01 ~ 1e-313, subnormal
+            res = bf01(setup, NormalPrior(tau))
+            assert res.bf01 > 0.0
+            assert res.posterior_h0(pi0) == posterior_prob_h0(res.bf01, pi0)
+
+    @pytest.mark.parametrize("z,pi0,nonzero", [
+        (40.0, 0.5, False), (39.3, 0.5, False), (39.3, 1.0 - 2.0 ** -53, True)])
+    def test_result_posterior_from_log_bf_against_mpmath(self, z, pi0, nonzero):
+        """BF01 underflowed (log BF01 ~ -782 at z = 40, ~ -755 at 39.3): at
+        pi0 = 1 - 2^-53 the prior odds, e^36.7, lift the posterior at
+        z = 39.3 back into the floats."""
+        res = bf01(TestSetup(50, z), NormalPrior(1.0))
+        assert res.bf01 == 0.0
+        with mpmath.workdps(50):
+            bf = mpmath.exp(mpmath.mpf(res.log_bf01))
+            p = mpmath.mpf(pi0)
+            want = float(p * bf / (p * bf + 1 - p))
+        got = res.posterior_h0(pi0)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert (got > 0.0) == nonzero
+
+    @pytest.mark.parametrize("pi0", [0.0, 1.0, -0.5, math.nan])
+    def test_result_posterior_checks_pi0(self, pi0):
+        for setup in (TestSetup(50, 2.0), TestSetup(50, 40.0)):
+            with pytest.raises(DomainError, match="pi0"):
+                bf01(setup, NormalPrior(1.0)).posterior_h0(pi0)
 
     def test_decision_flips_exactly_at_bf_one(self):
         """sign(P(H0) - 1/2) = sign(BF - 1): the zero-one-loss decision

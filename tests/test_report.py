@@ -2,11 +2,13 @@
 emitter."""
 
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from bayesflip.bayes_factor import Direction, TestSetup, log_bf01
+from bayesflip.cauchy import CauchyPrior, bf01_cauchy
 from bayesflip.errors import DomainError
 from bayesflip.report import (
     ROW_FLIP,
@@ -109,6 +111,31 @@ class TestSweep:
         rows = sweep_rows(TestSetup(n=50, z=2.0), "cauchy", [0.3, 0.6, 1.0])
         assert all(r.k is None for r in rows)
         assert rows[0].bf01 < rows[-1].bf01
+
+    def test_cauchy_rows_equal_bf01_cauchy(self):
+        """n = 50, so y = Im zeta = 5r: with x = |z|/sqrt(2) the scales
+        cross the real-axis route (x >= 2, y <= 0.5), the Weideman
+        rational, the asymptotic series (|zeta| >= 7) and, at 1.7e308,
+        the large-gamma asymptote (sqrt(n) r overflows)."""
+        scales = [1e-9, 1e-6, 0.01, 0.1, 0.3, 0.7, 1.0, 1.4, 3.0, 10.0, 1e3, 1e9, 1.7e308]
+        assert math.isinf(math.sqrt(50) * scales[-1])
+        for z in (0.0, 1.0, 3.0, -4.0, 9.0, 12.0, 38.0):
+            setup = TestSetup(n=50, z=z)
+            # below |z| ~ 2.9 BF01 overflows a float at the largest scale
+            scales_z = scales if abs(z) >= 3.0 else scales[:-1]
+            rows = sweep_rows(setup, "cauchy", scales_z)
+            assert [r.scale for r in rows] == scales_z
+            for r in rows:
+                res = bf01_cauchy(setup, CauchyPrior(r.scale))
+                assert (r.kind, r.k) == (ROW_POINT, None)
+                assert r.bf01 == res.bf01 and r.log_bf01 == res.log_bf01
+                assert r.direction == res.direction
+
+    @pytest.mark.parametrize("family", ["normal", "cauchy"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_scale_rejected_by_name(self, family, bad):
+        with pytest.raises(DomainError, match=re.escape(f"got {bad}")):
+            sweep_rows(TestSetup(n=50, z=2.0), family, [0.5, bad, 1.0])
 
     def test_unknown_family_rejected(self):
         with pytest.raises(DomainError):

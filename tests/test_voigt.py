@@ -25,10 +25,13 @@ def mp_re_w(x, y):
     loses the phase 2xy once x*y nears 1e20 at 50 digits (checked against
     scipy's wofz up to x*y = 6e14), so beyond 1e15 the Voigt integral
     Re w = 1/(sqrt(pi) y) * int_0^inf exp(-s - s^2/(4y^2)) cos(xs/y) ds
-    is taken instead."""
+    is taken instead.  Re w is about y/|zeta| of |w| where y << x, so the
+    erfc form is taken with ceil(log10(|zeta|/y)) more digits."""
     if x * y < 1e15:
         zeta = mpmath.mpc(x, y)
-        return mpmath.re(mpmath.exp(-zeta * zeta) * mpmath.erfc(-1j * zeta))
+        extra = max(0, int(mpmath.ceil(mpmath.log10(abs(zeta) / y))))
+        with mpmath.workdps(mpmath.mp.dps + extra):
+            return mpmath.re(mpmath.exp(-zeta * zeta) * mpmath.erfc(-1j * zeta))
     return mpmath.quad(lambda s: mpmath.exp(-s - s * s / (4 * y * y)) * mpmath.cos(x * s / y),
                        [0, mpmath.inf]) / (mpmath.sqrt(mpmath.pi) * y)
 
@@ -90,9 +93,10 @@ class TestAgainstMpmath:
 
     def test_vanishing_y_on_the_asymptotic_route(self):
         """|zeta| >= 7 with y near and below the smallest normal float,
-        against the route's own model summed at 50 digits:
+        against the route's own model summed at 50 digits,
         Re w = exp(y^2 - x^2) cos(2xy) + Re(i / (sqrt(pi) zeta) sum_k c_k zeta^-2k),
-        c_k = (2k-1)!! / 2^k, summed while the terms fall."""
+        c_k = (2k-1)!! / 2^k, summed while the terms fall; then against
+        the true value from ``mp_re_w``."""
         for x, y in ((7.5, 1e-300), (27.0, 1e-300), (27.0, 1e-310), (1e4, 1e-305)):
             with mpmath.workdps(MP_DPS):
                 zeta = mpmath.mpc(x, y)
@@ -106,6 +110,12 @@ class TestAgainstMpmath:
                 series = mpmath.re(1j * total / zeta) / mpmath.sqrt(mpmath.pi)
                 mx, my = mpmath.mpf(x), mpmath.mpf(y)
                 want = mpmath.log(mpmath.exp(my * my - mx * mx) * mpmath.cos(2 * mx * my) + series)
+            assert _kernels.log_re_faddeeva(x, y) == pytest.approx(float(want), abs=1e-12)
+        # and against the true value, from erfc with y/|zeta| more digits
+        # (log Re w(27, 1e-310) = -720.96303158831, at 362 digits)
+        for x, y in ((27.0, 1e-310), (7.5, 1e-300), (1e4, 1e-305)):
+            with mpmath.workdps(MP_DPS):
+                want = mpmath.log(mp_re_w(mpmath.mpf(x), mpmath.mpf(y)))
             assert _kernels.log_re_faddeeva(x, y) == pytest.approx(float(want), abs=1e-12)
         # the least subnormal y: Re w ~ y / (sqrt(pi) x^2) is not a float
         assert math.isfinite(_kernels.log_re_faddeeva(30.0, 5e-324))
@@ -318,3 +328,65 @@ class TestWeidemanCoefficients:
         a = np.real(np.fft.fft(np.fft.fftshift(f))) / (2 * m)
         assert _kernels._WEIDEMAN_L == pytest.approx(L, rel=1e-15)
         np.testing.assert_allclose(_kernels._WEIDEMAN_A, a[1:n + 1][::-1], rtol=0, atol=1e-15)
+
+
+def horner_weideman(x, y):
+    """w(x + iy) from the Weideman rational with p(Z) summed by complex
+    Horner: the reference for the kernel's Goertzel sum."""
+    d = complex(_kernels._WEIDEMAN_L + y, -x)
+    big_z = complex(_kernels._WEIDEMAN_L - y, x) / d
+    p = 0j
+    for a in _kernels._WEIDEMAN_A:
+        p = p * big_z + a
+    return 2.0 * p / (d * d) + _kernels._INV_SQRT_PI / d
+
+
+def mp_weideman(x, y):
+    """The same rational, with the same float coefficients, at 40 digits."""
+    with mpmath.workdps(40):
+        zeta = mpmath.mpc(x, y)
+        d = _kernels._WEIDEMAN_L - 1j * zeta
+        big_z = (_kernels._WEIDEMAN_L + 1j * zeta) / d
+        p = mpmath.mpc(0)
+        for a in _kernels._WEIDEMAN_A:
+            p = p * big_z + a
+        return complex(2 * p / (d * d) + 1 / (mpmath.sqrt(mpmath.pi) * d))
+
+
+class TestWeidemanSum:
+    """The kernel sums p(Z) by the real Goertzel recurrence.  Near Z = 1
+    (zeta -> 0) its quadratic has a double root, and it loses a little
+    more than Horner: ~1.5e-15 relative in w from the exact rational,
+    where Horner stays near 1.0e-15, so the two differ by up to ~1.5e-15."""
+
+    @staticmethod
+    def points():
+        """The Weideman route (|zeta| < 7 off the real-axis strip y <= 0.5,
+        x >= 2), zeta -> 0 from every direction, and the real axis from
+        x = 2 on, where the real-axis route takes F(x) from Im w."""
+        rng = np.random.default_rng(14)
+        x, y = rng.uniform(0.0, 7.0, 6000), rng.uniform(0.0, 7.0, 6000)
+        keep = (x * x + y * y < 49.0) & ~((y <= 0.5) & (x >= 2.0))
+        pts = list(zip(x[keep], y[keep]))
+        pts += zip(10.0 ** rng.uniform(-12, 0, 1500), 10.0 ** rng.uniform(-12, 0, 1500))
+        pts += zip(10.0 ** rng.uniform(-12, 0, 1000), rng.uniform(0.0, 6.9, 1000))
+        pts += zip(rng.uniform(0.0, 2.0, 1000), 10.0 ** rng.uniform(-12, 0, 1000))
+        pts += [(float(a), 0.0) for a in rng.uniform(2.0, 7.0, 1000)]
+        pts += [(0.0, 0.0), (0.0, 5e-324), (5e-324, 0.0), (2.0, 0.0), (0.0, 6.99)]
+        return [(float(a), float(b)) for a, b in pts]
+
+    def test_goertzel_matches_complex_horner(self):
+        worst = 0.0
+        for x, y in self.points():
+            want = horner_weideman(x, y)
+            worst = max(worst, abs(_kernels._weideman(x, y) - want) / abs(want))
+        assert worst <= 2e-15
+
+    def test_both_sums_against_the_exact_rational(self):
+        worst_goertzel = worst_horner = 0.0
+        for x, y in self.points()[::8]:
+            want = mp_weideman(x, y)
+            worst_goertzel = max(worst_goertzel, abs(_kernels._weideman(x, y) - want) / abs(want))
+            worst_horner = max(worst_horner, abs(horner_weideman(x, y) - want) / abs(want))
+        assert worst_horner <= 1.5e-15
+        assert worst_goertzel <= 2e-15
