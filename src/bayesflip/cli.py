@@ -228,8 +228,7 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple:
                         tuple(r.bf01 for r in points))],
             markers,
             title=f"BF01 vs prior scale ({args.prior}, z={args.z:g}, n={args.n})",
-            x_label="prior scale", y_label="BF01",
-            log_x=(args.spacing == "log"), ref_y=1.0,
+            x_label="prior scale", log_x=(args.spacing == "log"),
         )
 
     return "\n".join(lines), [Table("sweep", report.SweepRow._fields, rows)], [_svg]
@@ -268,15 +267,13 @@ def _cmd_figure1(args: argparse.Namespace) -> tuple:
         from . import svg
 
         series = []
-        for i, z in enumerate(report.TABLE_Z_VALUES):
+        for z in report.TABLE_Z_VALUES:
             pts = [r for r in panel_a if r.kind == report.ROW_POINT and r.z == z]
             series.append(svg.Series(f"z={z:g}", tuple(r.x for r in pts),
-                                     tuple(r.bf01 for r in pts),
-                                     color=svg.PALETTE[i % len(svg.PALETTE)]))
+                                     tuple(r.bf01 for r in pts)))
         markers = [svg.Marker(r.x, r.bf01) for r in panel_a if r.kind == report.ROW_FLIP]
         return svg.line_chart(series, markers, title="BF01 vs k = n tau^2",
-                              x_label="k", y_label="BF01",
-                              log_x=True, log_y=True, ref_y=1.0)
+                              x_label="k", log_x=True, log_y=True)
 
     def _svg_b() -> str:
         from . import svg
@@ -287,8 +284,8 @@ def _cmd_figure1(args: argparse.Namespace) -> tuple:
         flips = [r for r in panel_b if r.kind == report.ROW_FLIP]
         return svg.line_chart(
             [svg.Series("z=2, n=50", tuple(r.x for r in pts), tuple(r.bf01 for r in pts))],
-            markers, title="BF01 vs tau (z=2, n=50)", x_label="tau", y_label="BF01",
-            ref_y=1.0, ref_x=flips[0].x if flips else None,
+            markers, title="BF01 vs tau (z=2, n=50)", x_label="tau",
+            ref_x=flips[0].x if flips else None,
         )
 
     tables = [Table("panel_a", report.FigureRow._fields, panel_a),

@@ -19,8 +19,8 @@ import math
 from enum import Enum
 
 from ._record import record
-from .bayes_factor import (_DBL_MAX, _LOG_DBL_MAX, Direction, NormalPrior, TestSetup,
-                           _check_sample_size, bf01)
+from .bayes_factor import (_DBL_MAX, _LOG_DBL_MAX, NEUTRAL_LOG_BAND, Direction, NormalPrior,
+                           TestSetup, _check_sample_size, bf01, bf_argmin_k)
 from .errors import ConvergenceError, DomainError, NoFlipPoint, NotAReversal
 from .numerics import find_root, lambert_w0
 
@@ -201,20 +201,43 @@ def reversal_pair(setup: TestSetup, spread: float = 0.5) -> ReversalPair:
     demonstrating the reversal: bf1 < 1 < bf2 on identical data.
 
     If either side lands inside the neutral band, the spread widens
-    geometrically until both directions are strict.
+    geometrically until both directions are strict.  Widening stops once
+    tau1 has passed the scale of the Bayes-factor minimum k = z^2 - 1 and
+    still fails, or once n tau2^2 would overflow; the pair is then that
+    minimum's scale and its mirror about tau*, capped where n tau^2 stays
+    a float.  Raises NotAReversal when that pair fails too, as it does
+    wherever BF01 at its minimum lies inside the neutral band (|z| within
+    about 1e-6 of 1).
     """
     if not 0.0 < spread < 1.0:
         raise DomainError(f"spread must lie in (0, 1), got {spread}")
-    ts = tau_star(flip_point(setup.z).k_star, setup.n)
+    n = setup.n
+    ts = tau_star(flip_point(setup.z).k_star, n)
+    k_min = bf_argmin_k(setup.z)
     shrink = 1.0 - spread
     if shrink == 1.0:  # spread below float resolution; start just under 1
         shrink = 1.0 - 1e-15
     for _ in range(64):
-        pair, problems = _check_pair(setup, ts, ts * shrink, ts / shrink)
+        tau1, tau2 = ts * shrink, ts / shrink
+        if not n * tau2 * tau2 < math.inf:
+            break
+        pair, problems = _check_pair(setup, ts, tau1, tau2)
         if not problems:
             return pair
+        # From the minimum's scale down, BF01(tau1) rises as tau1 shrinks,
+        # and tau2 lies past the minimum's mirror, which favours H0 wherever
+        # the minimum favours H1: a pair failing here fails from now on.
+        if n * tau1 * tau1 <= k_min:
+            break
         shrink *= shrink
-    raise NotAReversal("could not separate the pair from the neutral band")
+    tau1 = math.sqrt(k_min / n)
+    # 1 - 2^-50 leaves room for the roundings between the cap and n tau^2
+    tau2 = min(ts * (ts / tau1), math.sqrt(_DBL_MAX / n) * (1.0 - 2.0 ** -50))
+    pair, problems = _check_pair(setup, ts, tau1, tau2)
+    if problems:
+        raise NotAReversal(f"no reversal pair for z = {setup.z} outside the neutral band "
+                           f"|log BF01| <= {NEUTRAL_LOG_BAND:g}: " + "; ".join(problems))
+    return pair
 
 
 def validate_pair(setup: TestSetup, tau1: float, tau2: float) -> ReversalPair:

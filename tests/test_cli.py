@@ -4,6 +4,7 @@ figure/table datasets, exercised through ``python -m bayesflip``."""
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -157,6 +158,22 @@ class TestSweepCommand:
         assert cp.returncode == 0
         ET.parse(out)
         assert "polyline" in out.read_text()
+
+    @pytest.mark.parametrize("prior,z", [("normal", "0.5"), ("cauchy", "2")])
+    def test_svg_over_a_one_ulp_scale_range(self, prior, z):
+        """The x axis spans about one ulp, far below any tick step, and the
+        chart still ends.  The memory cap and the timeout make a tick loop
+        that never ends fail fast instead of hanging the suite."""
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        cmd = [sys.executable, "-m", "bayesflip", "sweep", "--z", z, "--n", "50",
+               "--prior", prior, "--scale-min", "1", "--scale-max", "1.0000000000000002",
+               "--points", "2", "--format", "svg"]
+        cp = subprocess.run(cmd, capture_output=True, text=True, env=cli_env(), timeout=30,
+                            preexec_fn=cap_memory)
+        assert cp.returncode == 0, cp.stderr
+        ET.fromstring(cp.stdout)
 
 
 class TestTableCommand:

@@ -58,6 +58,7 @@ CASES = {
     "sweep-cauchy-log-csv": [*SWEEP, "--prior", "cauchy", "--spacing", "log",
                              "--format", "csv"],
     "sweep-normal-svg": [*SWEEP, "--format", "svg"],
+    "sweep-normal-log-svg": [*SWEEP, "--spacing", "log", "--format", "svg"],
     "sweep-cauchy-svg-out": [*SWEEP, "--prior", "cauchy", "--format", "svg",
                              "--out", "OUT.svg"],
     "sweep-cauchy-json": [*SWEEP, "--prior", "cauchy", "--format", "json"],

@@ -9,7 +9,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from bayesflip.bayes_factor import NormalPrior, TestSetup, bf01, log_bf01
+from bayesflip import flip
+from bayesflip.bayes_factor import (NEUTRAL_LOG_BAND, Direction, NormalPrior, TestSetup,
+                                    bf01, bf_argmin_k, log_bf01)
 from bayesflip.errors import DomainError, NoFlipPoint, NotAReversal
 from bayesflip.flip import (
     FlipMethod,
@@ -187,6 +189,52 @@ class TestReversalPair:
         pair = reversal_pair(TestSetup(n=1, z=z))
         assert pair.tau1 < pair.tau_star < pair.tau2
         assert pair.bf1 < 1.0 < pair.bf2
+
+    def test_first_try_costs_two_bayes_factors(self, monkeypatch):
+        calls = []
+
+        def counting_bf01(setup, prior):
+            calls.append(prior)
+            return bf01(setup, prior)
+
+        monkeypatch.setattr(flip, "bf01", counting_bf01)
+        pair = reversal_pair(TestSetup(n=50, z=2.0), 0.5)
+        assert (pair.tau1, pair.tau2) == (pair.tau_star * 0.5, pair.tau_star / 0.5)
+        assert calls == [NormalPrior(pair.tau1), NormalPrior(pair.tau2)]
+
+    @pytest.mark.parametrize("n", [1, 50])
+    @pytest.mark.parametrize("z", [1.0000012, 1.000002, 1.000005])
+    def test_pair_at_the_minimum_near_z_one(self, z, n):
+        """Spread 0.9 steps tau1 past the narrow range where BF01 favours
+        H1; widening further only overflowed n tau2^2.  The pair is the
+        minimum's scale and its mirror about tau*."""
+        setup = TestSetup(n=n, z=z)
+        assert log_bf01(z, bf_argmin_k(z)) < -NEUTRAL_LOG_BAND
+        pair = reversal_pair(setup, 0.9)
+        assert pair.tau1 == math.sqrt(bf_argmin_k(z) / n)
+        assert pair.tau2 == pytest.approx(pair.tau_star ** 2 / pair.tau1, rel=1e-15)
+        assert pair.tau1 < pair.tau_star < pair.tau2
+        assert bf01(setup, NormalPrior(pair.tau1)).direction is Direction.FAVOURS_H1
+        assert bf01(setup, NormalPrior(pair.tau2)).direction is Direction.FAVOURS_H0
+
+    @pytest.mark.parametrize("z", [1.0000001, 1.000001])
+    def test_no_pair_where_the_minimum_is_neutral(self, z):
+        assert log_bf01(z, bf_argmin_k(z)) >= -NEUTRAL_LOG_BAND
+        for spread in (0.05, 0.5, 0.9):
+            with pytest.raises(NotAReversal, match=rf"z = {re.escape(repr(z))} .*"
+                                                   r"neutral band \|log BF01\| <= 1e-12"):
+                reversal_pair(TestSetup(n=50, z=z), spread)
+
+    @pytest.mark.parametrize("z,spread", [(26.6, 0.9), (26.63, 0.5), (26.64, 0.05)])
+    def test_pair_where_n_tau2_squared_would_overflow(self, z, spread):
+        """tau* / (1 - spread) has an n tau^2 above the float range; tau2
+        stops at the largest scale whose n tau^2 is a float."""
+        setup = TestSetup(n=1, z=z)
+        pair = reversal_pair(setup, spread)
+        assert pair.tau1 < pair.tau_star < pair.tau2
+        assert math.isfinite(pair.tau2 ** 2)
+        assert bf01(setup, NormalPrior(pair.tau1)).direction is Direction.FAVOURS_H1
+        assert bf01(setup, NormalPrior(pair.tau2)).direction is Direction.FAVOURS_H0
 
     def test_no_flip_point_for_small_z(self):
         with pytest.raises(NoFlipPoint):

@@ -124,4 +124,4 @@ def test_repr():
 def test_keyword_construction_and_defaults():
     assert TestSetup(n=50, z=2.0) == TestSetup(50, 2.0)
     assert Marker(1.0, 2.0) == Marker(1.0, 2.0, "")
-    assert Series("s", (), ()).color == "#1f77b4"
+    assert Series._fields == ("label", "xs", "ys")

@@ -6,6 +6,7 @@ import re
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from bayesflip.bayes_factor import Direction, TestSetup, log_bf01
 from bayesflip.cauchy import CauchyPrior, bf01_cauchy
@@ -22,7 +23,7 @@ from bayesflip.report import (
     sweep_rows,
     table_rows,
 )
-from bayesflip.svg import Marker, Series, line_chart
+from bayesflip.svg import Marker, Series, _nice_ticks, line_chart
 
 # published-precision reference cells: z -> (p, k*, tau*(50), tau*(100))
 TABLE_CELLS = {
@@ -184,12 +185,12 @@ class TestFigureDatasets:
 
 
 class TestSvgEmitter:
-    def _chart(self, **kwargs):
+    def _chart(self, title="demo", **kwargs):
         xs = tuple(0.1 * i + 0.1 for i in range(30))
         ys = tuple(math.exp(math.sin(x)) for x in xs)
         return line_chart([Series("demo", xs, ys)],
                           [Marker(1.0, math.exp(math.sin(1.0)), label="m")],
-                          ref_y=1.0, x_label="x", y_label="y", **kwargs)
+                          title=title, x_label="x", **kwargs)
 
     def test_wellformed_xml_with_expected_elements(self):
         doc = self._chart(title="demo chart")
@@ -207,7 +208,38 @@ class TestSvgEmitter:
 
     def test_nothing_to_plot_raises(self):
         with pytest.raises(ValueError):
-            line_chart([Series("empty", (), ())])
+            line_chart([Series("empty", (), ())], title="empty", x_label="x")
+
+
+# axis bounds as charts meet them: zero or a normal float, far from overflow
+BOUNDS = st.one_of(st.just(0.0), st.floats(1e-100, 1e100), st.floats(-1e100, -1e-100))
+
+
+@st.composite
+def axis_ranges(draw):
+    """Finite lo < hi: two free bounds, or a span of 1 to 4 ulps."""
+    lo = draw(BOUNDS)
+    if lo != 0.0 and draw(st.booleans()):
+        hi = lo
+        for _ in range(draw(st.integers(1, 4))):
+            hi = math.nextafter(hi, math.inf)
+        return lo, hi
+    hi = draw(BOUNDS)
+    assume(lo != hi)
+    return min(lo, hi), max(lo, hi)
+
+
+@given(axis_ranges())
+def test_nice_ticks_are_few_sorted_and_in_range(bounds):
+    """Ticks are i * step for an integer range set by the span, so even a
+    span of one ulp, below the step's resolution, gives a short list."""
+    lo, hi = bounds
+    ticks = _nice_ticks(lo, hi)
+    top = hi + 1e-9 * (hi - lo)
+    assert len(ticks) <= 12
+    assert ticks == sorted(ticks)
+    for t in ticks:
+        assert lo - math.ulp(lo) <= t <= top + math.ulp(top)
 
 
 @pytest.mark.parametrize("lo,hi", [(0.1, math.inf), (math.nan, 3.0), (-math.inf, 1.0),
