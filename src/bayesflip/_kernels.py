@@ -11,6 +11,7 @@ exceptions.
 """
 
 import math
+from bisect import bisect_left
 
 from .errors import DomainError, MaxIterExceeded
 
@@ -98,9 +99,6 @@ _SMALL_Y = 0.5
 _SMALL_Y_MIN_X = 2.0
 _SERIES_TOL = 1e-17
 _SERIES_MAX_TERMS = 64
-# below this r^2 the asymptotic term count is looked up by int(r^2), above
-# it counted down from its value at the bound
-_DENSE_R2 = 2048
 
 
 def _asymptotic_tables():
@@ -111,8 +109,9 @@ def _asymptotic_tables():
     with r = |zeta|, is at most _SERIES_TOL (relative to the leading 1):
     from r^2 >= thresholds[K] = (c_{K+1} / _SERIES_TOL)^(1/(K+1)) on.  The
     thresholds fall with K, and the last one is at most _ASYMPTOTIC_R2, so
-    no point of the route needs more terms.  terms_at[m] is K at r^2 = m;
-    the thresholds are more than 1 apart, so at most one lies in [m, m+1).
+    no point of the route needs more terms.  K at r^2 is the number of
+    thresholds above r^2; they are returned negated, so that they rise
+    and bisect_left counts them.
     """
     c, thresholds, horner = [1.0], [], []
     while not thresholds or thresholds[-1] > _ASYMPTOTIC_R2:
@@ -120,15 +119,10 @@ def _asymptotic_tables():
         horner.append(tuple(c[::-1]))  # c_{k-1}, ..., c_0
         c.append(c[-1] * (k - 0.5))
         thresholds.append((c[k] / _SERIES_TOL) ** (1.0 / k))
-    runs, lo = [], 0  # K = k on [ceil(thresholds[k]), ceil(thresholds[k - 1]))
-    for k in range(len(thresholds) - 1, -1, -1):
-        hi = min(math.ceil(thresholds[k - 1]), _DENSE_R2) if k else _DENSE_R2
-        runs.append(bytes([k]) * (hi - lo))
-        lo = hi
-    return tuple(thresholds), tuple(horner), b"".join(runs)
+    return tuple(-t for t in thresholds), tuple(horner)
 
 
-_SERIES_R2, _HORNER, _TERMS_AT = _asymptotic_tables()
+_NEG_SERIES_R2, _HORNER = _asymptotic_tables()
 
 
 def _weideman(x, y):
@@ -169,7 +163,7 @@ def log_re_faddeeva(x, y):
       y -> 0 nor y -> inf underflows; for y < 1 it is joined by the
       exp(-zeta^2) term that the series misses on the real axis.  Terms
       0..K are summed by Horner's rule over precomputed coefficients, in
-      real arithmetic, with K read from r^2 = x^2 + y^2 in a table of
+      real arithmetic, with K bisected from r^2 = x^2 + y^2 in a table of
       thresholds: from each on, the first omitted term is at most 1e-17
       (``_asymptotic_tables``).
     - y <= 0.5 and x >= 2: the real-axis split
@@ -183,9 +177,7 @@ def log_re_faddeeva(x, y):
     x = abs(x)
     r2 = x * x + y * y
     if r2 >= _ASYMPTOTIC_R2:
-        k = _TERMS_AT[int(r2)] if r2 < _DENSE_R2 else _TERMS_AT[-1]
-        while k and r2 >= _SERIES_R2[k - 1]:
-            k -= 1
+        k = bisect_left(_NEG_SERIES_R2, -r2)
         if k:
             # the sum S at u = 1 / zeta^2 = a + ib by Horner's rule in real
             # arithmetic (Goertzel): b_j = c_j + 2a b_{j+1} - |u|^2 b_{j+2},

@@ -197,47 +197,34 @@ def _check_pair(setup: TestSetup, ts: float, tau1: float,
 
 
 def reversal_pair(setup: TestSetup, spread: float = 0.5) -> ReversalPair:
-    """A symmetric multiplicative pair tau* (1 - spread), tau* / (1 - spread)
-    demonstrating the reversal: bf1 < 1 < bf2 on identical data.
+    """A pair of prior scales about tau* whose Bayes factors point in
+    opposite directions on identical data: bf1 < 1 < bf2, both outside the
+    neutral band.
 
-    If either side lands inside the neutral band, the spread widens
-    geometrically until both directions are strict.  Widening stops once
-    tau1 has passed the scale of the Bayes-factor minimum k = z^2 - 1 and
-    still fails, or once n tau2^2 would overflow; the pair is then that
-    minimum's scale and its mirror about tau*, capped where n tau^2 stays
-    a float.  Raises NotAReversal when that pair fails too, as it does
-    wherever BF01 at its minimum lies inside the neutral band (|z| within
-    about 1e-6 of 1).
+    Two candidates are checked, at most 4 Bayes factors.  The first is the
+    symmetric multiplicative pair tau* (1 - spread), tau* / (1 - spread).
+    Where it is not strict, the second is the strongest reversal the data
+    allow: the scale of the Bayes-factor minimum k = z^2 - 1 and its mirror
+    tau*^2 / tau1 about tau*.  Either tau2 is capped where n tau2^2 stays
+    a float.  Raises NotAReversal when the second pair fails too, as it
+    does wherever BF01 at its minimum lies inside the neutral band (|z|
+    within about 1e-6 of 1).
     """
     if not 0.0 < spread < 1.0:
         raise DomainError(f"spread must lie in (0, 1), got {spread}")
     n = setup.n
     ts = tau_star(flip_point(setup.z).k_star, n)
-    k_min = bf_argmin_k(setup.z)
+    tau_min = math.sqrt(bf_argmin_k(setup.z) / n)
     shrink = 1.0 - spread
-    if shrink == 1.0:  # spread below float resolution; start just under 1
-        shrink = 1.0 - 1e-15
-    for _ in range(64):
-        tau1, tau2 = ts * shrink, ts / shrink
+    for tau1, tau2 in ((ts * shrink, ts / shrink), (tau_min, ts * (ts / tau_min))):
         if not n * tau2 * tau2 < math.inf:
-            break
+            # 1 - 2^-50 leaves room for the roundings between the cap and n tau^2
+            tau2 = math.sqrt(_DBL_MAX / n) * (1.0 - 2.0 ** -50)
         pair, problems = _check_pair(setup, ts, tau1, tau2)
         if not problems:
             return pair
-        # From the minimum's scale down, BF01(tau1) rises as tau1 shrinks,
-        # and tau2 lies past the minimum's mirror, which favours H0 wherever
-        # the minimum favours H1: a pair failing here fails from now on.
-        if n * tau1 * tau1 <= k_min:
-            break
-        shrink *= shrink
-    tau1 = math.sqrt(k_min / n)
-    # 1 - 2^-50 leaves room for the roundings between the cap and n tau^2
-    tau2 = min(ts * (ts / tau1), math.sqrt(_DBL_MAX / n) * (1.0 - 2.0 ** -50))
-    pair, problems = _check_pair(setup, ts, tau1, tau2)
-    if problems:
-        raise NotAReversal(f"no reversal pair for z = {setup.z} outside the neutral band "
-                           f"|log BF01| <= {NEUTRAL_LOG_BAND:g}: " + "; ".join(problems))
-    return pair
+    raise NotAReversal(f"no reversal pair for z = {setup.z} outside the neutral band "
+                       f"|log BF01| <= {NEUTRAL_LOG_BAND:g}: " + "; ".join(problems))
 
 
 def validate_pair(setup: TestSetup, tau1: float, tau2: float) -> ReversalPair:

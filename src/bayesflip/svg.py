@@ -63,6 +63,19 @@ def _fmt(v: float) -> str:
     return f"{v:g}"
 
 
+def _drawn_ticks(ticks, to_px, lo: float, hi: float):
+    """(pixel, label) of each tick within half a pixel of [lo, hi] whose
+    label and pixel, as written, both differ from the last drawn tick's:
+    on an axis finer than the labels' digits, ticks would overprint."""
+    last_pos = last_label = None
+    for t in ticks:
+        p = to_px(t)
+        pos, label = f"{p:.1f}", _fmt(t)
+        if lo - 0.5 <= p <= hi + 0.5 and pos != last_pos and label != last_label:
+            last_pos, last_label = pos, label
+            yield p, label
+
+
 def line_chart(series: list[Series], markers: list[Marker] = (), *, title: str,
                x_label: str, log_x: bool = False, log_y: bool = False,
                ref_x: float | None = None) -> str:
@@ -109,22 +122,16 @@ def line_chart(series: list[Series], markers: list[Marker] = (), *, title: str,
 
     x_ticks = _decade_ticks(x_lo, x_hi) if log_x else _nice_ticks(x_lo, x_hi)
     y_ticks = _decade_ticks(y_lo, y_hi) if log_y else _nice_ticks(y_lo, y_hi)
-    for t in x_ticks:
-        x = px(t)
-        if not _MARGIN_L - 0.5 <= x <= _WIDTH - _MARGIN_R + 0.5:
-            continue
+    for x, label in _drawn_ticks(x_ticks, px, _MARGIN_L, _WIDTH - _MARGIN_R):
         out.append(f'<line x1="{x:.1f}" y1="{_MARGIN_T + plot_h}" x2="{x:.1f}" '
                    f'y2="{_MARGIN_T + plot_h + 5}" stroke="#333"/>')
         out.append(f'<text x="{x:.1f}" y="{_MARGIN_T + plot_h + 18}" '
-                   f'text-anchor="middle">{_fmt(t)}</text>')
-    for t in y_ticks:
-        y = py(t)
-        if not _MARGIN_T - 0.5 <= y <= _HEIGHT - _MARGIN_B + 0.5:
-            continue
+                   f'text-anchor="middle">{label}</text>')
+    for y, label in _drawn_ticks(y_ticks, py, _MARGIN_T, _HEIGHT - _MARGIN_B):
         out.append(f'<line x1="{_MARGIN_L - 5}" y1="{y:.1f}" x2="{_MARGIN_L}" '
                    f'y2="{y:.1f}" stroke="#333"/>')
         out.append(f'<text x="{_MARGIN_L - 8}" y="{y + 4:.1f}" '
-                   f'text-anchor="end">{_fmt(t)}</text>')
+                   f'text-anchor="end">{label}</text>')
     out.append(f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 10}" '
                f'text-anchor="middle">{_escape(x_label)}</text>')
     yc = _MARGIN_T + plot_h / 2

@@ -173,7 +173,11 @@ class TestSweepCommand:
         cp = subprocess.run(cmd, capture_output=True, text=True, env=cli_env(), timeout=30,
                             preexec_fn=cap_memory)
         assert cp.returncode == 0, cp.stderr
-        ET.fromstring(cp.stdout)
+        texts = list(ET.fromstring(cp.stdout).iter("{http://www.w3.org/2000/svg}text"))
+        # tick labels: x below the plot box, y right-aligned left of it
+        for axis in ([t.text for t in texts if t.get("y") == "452"],
+                     [t.text for t in texts if t.get("text-anchor") == "end"]):
+            assert axis and len(axis) == len(set(axis)), axis
 
 
 class TestTableCommand:
@@ -244,6 +248,14 @@ class TestParadoxCommand:
         assert cp.returncode == 0
         assert "0.99" in cp.stdout
         assert "favours H1" in cp.stdout and "favours H0" in cp.stdout
+
+    def test_tiny_spread_shows_the_minimum_pair(self):
+        """1 - 1e-18 rounds to 1; the pair is the Bayes-factor minimum's
+        scale sqrt(3 / 50) and its mirror about tau*, not two scales at tau*."""
+        cp = run_cli("paradox", "--z", "2", "--n", "50", "--spread", "1e-18")
+        assert cp.returncode == 0, cp.stderr
+        assert "BF01 = 0.4463  (favours H1)" in cp.stdout
+        assert "BF01 = 3.8745  (favours H0)" in cp.stdout
 
     def test_json_fields(self):
         cp = run_cli("paradox", "--z", "1.96", "--n", "5000", "--format", "json")

@@ -8,6 +8,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bayesflip import flip
 from bayesflip.bayes_factor import (NEUTRAL_LOG_BAND, Direction, NormalPrior, TestSetup,
@@ -178,7 +179,7 @@ class TestReversalPair:
             with pytest.raises(DomainError):
                 reversal_pair(setup, spread)
 
-    def test_tiny_spread_widens_until_strict(self):
+    def test_tiny_spread_falls_back_to_the_minimum(self):
         pair = reversal_pair(TestSetup(n=50, z=2.0), spread=1e-18)
         assert pair.bf1 < 1.0 < pair.bf2
         assert pair.tau1 < pair.tau_star < pair.tau2
@@ -190,7 +191,8 @@ class TestReversalPair:
         assert pair.tau1 < pair.tau_star < pair.tau2
         assert pair.bf1 < 1.0 < pair.bf2
 
-    def test_first_try_costs_two_bayes_factors(self, monkeypatch):
+    @staticmethod
+    def count_bayes_factors(monkeypatch) -> list:
         calls = []
 
         def counting_bf01(setup, prior):
@@ -198,9 +200,32 @@ class TestReversalPair:
             return bf01(setup, prior)
 
         monkeypatch.setattr(flip, "bf01", counting_bf01)
+        return calls
+
+    def test_first_try_costs_two_bayes_factors(self, monkeypatch):
+        calls = self.count_bayes_factors(monkeypatch)
         pair = reversal_pair(TestSetup(n=50, z=2.0), 0.5)
         assert (pair.tau1, pair.tau2) == (pair.tau_star * 0.5, pair.tau_star / 0.5)
         assert calls == [NormalPrior(pair.tau1), NormalPrior(pair.tau2)]
+
+    def test_tiny_spread_costs_four_bayes_factors(self, monkeypatch):
+        """Spread 1e-18 leaves 1 - spread at 1, so the first pair is tau*
+        twice; the second is the minimum's scale and its mirror."""
+        calls = self.count_bayes_factors(monkeypatch)
+        pair = reversal_pair(TestSetup(n=50, z=2.0), 1e-18)
+        assert len(calls) <= 4
+        assert pair.tau1 == math.sqrt(3 / 50)
+        assert pair.tau2 == pair.tau_star * (pair.tau_star / pair.tau1)
+        assert pair.bf1 == pytest.approx(0.4463, abs=5e-5)
+        assert pair.bf2 == pytest.approx(3.8745, abs=5e-5)
+
+    def test_no_pair_costs_four_bayes_factors(self, monkeypatch):
+        z = 1.000000533384319
+        assert log_bf01(z, bf_argmin_k(z)) >= -NEUTRAL_LOG_BAND
+        calls = self.count_bayes_factors(monkeypatch)
+        with pytest.raises(NotAReversal):
+            reversal_pair(TestSetup(n=941_499, z=z), 6.07e-16)
+        assert len(calls) <= 4
 
     @pytest.mark.parametrize("n", [1, 50])
     @pytest.mark.parametrize("z", [1.0000012, 1.000002, 1.000005])
@@ -233,6 +258,29 @@ class TestReversalPair:
         pair = reversal_pair(setup, spread)
         assert pair.tau1 < pair.tau_star < pair.tau2
         assert math.isfinite(pair.tau2 ** 2)
+        assert bf01(setup, NormalPrior(pair.tau1)).direction is Direction.FAVOURS_H1
+        assert bf01(setup, NormalPrior(pair.tau2)).direction is Direction.FAVOURS_H0
+
+    @settings(deadline=None)
+    @given(z=st.floats(1 + 1e-5, 26.6, exclude_min=True), sign=st.sampled_from((1, -1)),
+           n=st.integers(1, 10**9), spread=st.floats(0.0, 1.0, exclude_min=True,
+                                                      exclude_max=True))
+    def test_strict_pair_or_a_neutral_minimum(self, z, sign, n, spread):
+        """At most 4 Bayes factors a call, and NotAReversal only where no
+        scale gives BF01 outside the neutral band on the H1 side."""
+        setup = TestSetup(n=n, z=sign * z)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = self.count_bayes_factors(monkeypatch)
+            try:
+                pair = reversal_pair(setup, spread)
+            except NotAReversal:
+                pair = None
+        assert len(calls) <= 4
+        if pair is None:
+            assert log_bf01(z, bf_argmin_k(z)) >= -NEUTRAL_LOG_BAND
+            return
+        assert pair.tau1 < pair.tau_star < pair.tau2
+        assert pair.bf1 < 1.0 < pair.bf2
         assert bf01(setup, NormalPrior(pair.tau1)).direction is Direction.FAVOURS_H1
         assert bf01(setup, NormalPrior(pair.tau2)).direction is Direction.FAVOURS_H0
 

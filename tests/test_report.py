@@ -242,6 +242,19 @@ def test_nice_ticks_are_few_sorted_and_in_range(bounds):
         assert lo - math.ulp(lo) <= t <= top + math.ulp(top)
 
 
+@given(axis_ranges())
+def test_chart_draws_each_tick_label_once(bounds):
+    """On an axis finer than the labels' six digits, ticks that print alike
+    (or land on the same pixel) are drawn once."""
+    lo, hi = bounds
+    chart = line_chart([Series("", (lo, hi), (1.0, 2.0))], title="t", x_label="x")
+    texts = list(ET.fromstring(chart).iter("{http://www.w3.org/2000/svg}text"))
+    # tick labels: x below the plot box, y right-aligned left of it
+    for axis in ([t.text for t in texts if t.get("y") == "452"],
+                 [t.text for t in texts if t.get("text-anchor") == "end"]):
+        assert axis and len(axis) == len(set(axis)), axis
+
+
 @pytest.mark.parametrize("lo,hi", [(0.1, math.inf), (math.nan, 3.0), (-math.inf, 1.0),
                                    (0.1, math.nan)])
 @pytest.mark.parametrize("spacing", ["linear", "log"])

@@ -4,6 +4,7 @@ and flip scales, against oracles that share none of its code: mpmath at
 ``tests/_oracles.py``."""
 
 import math
+from bisect import bisect_left
 
 import mpmath
 import numpy as np
@@ -264,16 +265,21 @@ def _points_on_circle(r2, y_near):
     return points
 
 
+# the term-count thresholds of the asymptotic route, falling
+SERIES_R2 = tuple(-t for t in _kernels._NEG_SERIES_R2)
+
+
 class TestAsymptoticBorders:
     """The asymptotic route starts at |zeta|^2 = 49 and sums a number of
     terms read from r^2 = x^2 + y^2: both borders, from either side, and on
     each side of y = 1, where the exp(-zeta^2) term joins."""
 
-    THRESHOLDS = (_kernels._ASYMPTOTIC_R2, float(_kernels._DENSE_R2),
-                  *(t for t in _kernels._SERIES_R2 if t >= _kernels._ASYMPTOTIC_R2))
+    # the route's start, an accuracy point between thresholds, and the thresholds
+    THRESHOLDS = (_kernels._ASYMPTOTIC_R2, 2048.0,
+                  *(t for t in SERIES_R2 if t >= _kernels._ASYMPTOTIC_R2))
 
     def test_thresholds_are_where_one_term_fewer_suffices(self):
-        table = _kernels._SERIES_R2
+        table = SERIES_R2
         assert table[-1] <= _kernels._ASYMPTOTIC_R2 < table[-2]
         for k, t in enumerate(table):
             assert _series_terms_needed(t * (1 + 1e-14)) == k
@@ -285,10 +291,21 @@ class TestAsymptoticBorders:
                 c.append(c[-1] * (2 * j - 1) / 2)
             assert coeffs == tuple(reversed(c))
 
-    def test_dense_lookup_matches_the_thresholds(self):
-        table = _kernels._SERIES_R2
-        for m in range(49, _kernels._DENSE_R2):
-            assert _kernels._TERMS_AT[m] == sum(t > m for t in table[:-1])
+    @staticmethod
+    def bisected_terms(r2):
+        return bisect_left(_kernels._NEG_SERIES_R2, -r2)
+
+    def test_bisected_term_count_is_the_least_that_suffices(self):
+        for m in range(49, 2048):
+            assert self.bisected_terms(float(m)) == _series_terms_needed(m), m
+
+    def test_bisected_term_count_steps_at_each_threshold(self):
+        """K drops by one exactly at each float threshold.  The float
+        thresholds lie within 4 ulps of the 50-digit boundaries, checked at
+        1e-14 relative by test_thresholds_are_where_one_term_fewer_suffices."""
+        for k, t in enumerate(SERIES_R2):
+            assert self.bisected_terms(math.nextafter(t, 0.0)) == k + 1
+            assert self.bisected_terms(t) == self.bisected_terms(math.nextafter(t, math.inf)) == k
 
     @pytest.mark.parametrize("r2", THRESHOLDS)
     def test_accuracy_on_both_sides(self, r2):
