@@ -1,20 +1,21 @@
 """Immutable value records, the one idiom behind every value type.
 
-``record`` returns a ``collections.namedtuple`` base for a record class
-with two changes.  A record equals, and hashes with, only records of its
-own type, so ``NormalPrior(0.5) != CauchyPrior(0.5)`` and no record
-equals a plain tuple.  ``_make``, and through it ``_replace``, calls the
-class, so both go through the subclass's validating ``__new__``.
-Records are still tuples: they unpack, index and order like tuples.
+``record`` returns a ``collections.namedtuple`` type with two changes.
+A record equals, and hashes with, only records of its own type, so
+``NormalPrior(0.5) != CauchyPrior(0.5)`` and no record equals a plain
+tuple.  ``_make``, and through it ``_replace``, calls the class, so both
+go through a subclass's validating ``__new__``.  Records are still
+tuples: they unpack, index and order like tuples.
 
-A record class subclasses the base, declares ``__slots__ = ()`` (no
-instance dict, so no attribute can be set) and validates its fields in
-``__new__``, which builds the instance with ``tuple.__new__(cls,
-fields)``: the base's own ``__new__`` is a Python function, an extra
-frame per record.  Hot code builds records whose fields need no check
-the same way (``BayesFactorResult.from_log``, ``report.sweep_rows``).
+A record with no checks or methods is that type itself.  One with them
+subclasses it with ``__slots__ = ()`` (no instance dict, so no attribute
+can be set) and validates in ``__new__``, which builds the instance with
+``tuple.__new__(cls, fields)``, skipping the namedtuple's ``__new__``, a
+Python function.  Hot code builds records whose fields need no check the
+same way (``BayesFactorResult.from_log``, ``report.sweep_rows``).
 """
 
+import sys
 from collections import namedtuple
 
 __all__ = ["record"]
@@ -36,9 +37,12 @@ def _make(cls, iterable):
     return cls(*iterable)
 
 
-def record(typename: str, field_names: str, defaults: tuple | None = None) -> type:
-    """namedtuple base with the fields of record class ``typename``."""
-    base = namedtuple(typename, field_names, defaults=defaults)
-    base.__eq__, base.__ne__, base.__hash__ = _eq, _ne, _hash
-    base._make = classmethod(_make)
-    return base
+def record(typename: str, field_names: str, doc: str | None = None,
+           defaults: tuple | None = None) -> type:
+    """Record type ``typename``, which belongs to the module calling this."""
+    cls = namedtuple(typename, field_names, defaults=defaults,
+                     module=sys._getframe(1).f_globals["__name__"])
+    cls.__eq__, cls.__ne__, cls.__hash__ = _eq, _ne, _hash
+    cls._make = classmethod(_make)
+    cls.__doc__ = doc or cls.__doc__
+    return cls

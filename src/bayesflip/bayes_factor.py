@@ -91,6 +91,7 @@ class TestSetup(record("TestSetup", "n z")):
 
     @classmethod
     def from_sample_mean(cls, n: int, xbar: float) -> "TestSetup":
+        _check_sample_size(n)  # before sqrt(n), which fails untyped for a bad n
         return cls(n=n, z=math.sqrt(n) * xbar)
 
 
@@ -112,32 +113,28 @@ class NormalPrior(record("NormalPrior", "tau")):
 _NEUTRAL, _FAVOURS_H1, _FAVOURS_H0 = Direction.NEUTRAL, Direction.FAVOURS_H1, Direction.FAVOURS_H0
 
 
-def _from_log(cls: type, log_bf: float) -> tuple:
-    """Record of type cls with the fields (BF01, log BF01, direction) for
-    log BF01; BF01 underflows to 0.0 below about -745, and a log BF01 above
-    log(DBL_MAX) ~ 709.78 raises DomainError.  cls = tuple gives the bare
-    fields, which Cauchy sweep rows take without a result record."""
-    if abs(log_bf) <= NEUTRAL_LOG_BAND:
-        direction = _NEUTRAL
-    elif log_bf < 0.0:
-        direction = _FAVOURS_H1
-    elif log_bf > 0.0:
-        if log_bf > _LOG_DBL_MAX:
-            raise DomainError(f"BF01 overflows a float: log BF01 = {log_bf!r} is above "
-                              f"log(DBL_MAX) = {_LOG_DBL_MAX!r}")
-        direction = _FAVOURS_H0
-    else:  # only nan fails all three comparisons
-        raise DomainError("log BF01 is nan")
-    # the fields need no check: skip the namedtuple's Python __new__
-    return tuple.__new__(cls, (math.exp(log_bf), log_bf, direction))
-
-
 class BayesFactorResult(record("BayesFactorResult", "bf01 log_bf01 direction")):
     """BF01 with its natural log and the direction of evidence."""
 
     __slots__ = ()
 
-    from_log = classmethod(_from_log)
+    @staticmethod
+    def from_log(log_bf: float) -> BayesFactorResult:
+        """The result for log BF01: BF01 underflows to 0.0 below about -745,
+        and a log BF01 above log(DBL_MAX) ~ 709.78 raises DomainError."""
+        if abs(log_bf) <= NEUTRAL_LOG_BAND:
+            direction = _NEUTRAL
+        elif log_bf < 0.0:
+            direction = _FAVOURS_H1
+        elif log_bf > 0.0:
+            if log_bf > _LOG_DBL_MAX:
+                raise DomainError(f"BF01 overflows a float: log BF01 = {log_bf!r} is above "
+                                  f"log(DBL_MAX) = {_LOG_DBL_MAX!r}")
+            direction = _FAVOURS_H0
+        else:  # only nan fails all three comparisons
+            raise DomainError("log BF01 is nan")
+        # the fields need no check: skip the namedtuple's Python __new__
+        return tuple.__new__(BayesFactorResult, (math.exp(log_bf), log_bf, direction))
 
     def posterior_h0(self, pi0: float = 0.5) -> float:
         """Posterior probability of the null at prior probability pi0:

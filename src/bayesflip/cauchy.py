@@ -38,6 +38,7 @@ _LOG_SQRT_PI_OVER_2 = -_LOG_SQRT_2_OVER_PI
 # precision.
 _LOG_GAMMA_ASYMPTOTIC = math.log(1e10)
 _MAX_BRACKET_STEPS = 64
+_MIN_CRIT_GAP = 1e-5  # below this |z| - Z_CRIT, r* is off by over 3e-7 relative
 _BAD_SCALE = "Cauchy scale must be positive and finite, got {}"
 
 
@@ -54,7 +55,7 @@ class CauchyPrior(record("CauchyPrior", "r")):
 
 def _log_bf01(z: float, n: int, r: float) -> float:
     """log BF01 at scale r for a valid sample size n: ``bf01_cauchy``,
-    Cauchy sweeps once per point with no prior or result record, and the
+    Cauchy sweeps once per point with no prior record, and the
     flip-scale search in gamma (r = gamma at n = 1).
 
     Where gamma = sqrt(n) r overflows a float, Re w ~ 1 / (sqrt(pi) y)
@@ -95,17 +96,21 @@ def cauchy_flip_scale(setup: TestSetup) -> float:
     gamma_a is gamma* to double precision and is returned as is.
 
     Just above Z_CRIT log BF01 dips below 0 only by ~(|z| - Z_CRIT)^2, so
-    the relative error of r* grows like 1e-16 / (|z| - Z_CRIT)^2: it is
-    below 1e-10 from |z| = 1.3072 on and 5e-4 at |z| = 1.30693.
+    the relative error of r* is about (1-3)e-17 / (|z| - Z_CRIT)^2: 1e-9
+    at a gap |z| - Z_CRIT of 1e-4, 2.5e-7 at 1e-5, and below 1e-10 from
+    |z| = 1.3072 on.
 
     Raises NoFlipPoint for |z| <= Z_CRIT, where BF01 >= 1 at every r;
-    ConvergenceError when |z| is so close above Z_CRIT that log BF01 < 0
-    is lost to rounding; DomainError when r* overflows a float.
+    ConvergenceError for 0 < |z| - Z_CRIT < 1e-5; DomainError when r*
+    overflows a float.
     """
     z = abs(setup.z)
     if not z > Z_CRIT:
         raise NoFlipPoint(
             f"no Cauchy flip scale for |z| = {z} <= {Z_CRIT}: BF01 >= 1 at every r")
+    if z - Z_CRIT < _MIN_CRIT_GAP:
+        raise ConvergenceError(f"Cauchy flip scale for z = {setup.z} is lost to rounding: "
+                               f"|z| - Z_CRIT = {z - Z_CRIT:.3g} is below {_MIN_CRIT_GAP:g}")
     log_gamma_a = 0.5 * z * z + _LOG_SQRT_2_OVER_PI
     log_gamma = log_gamma_a
     if log_gamma_a < _LOG_GAMMA_ASYMPTOTIC:

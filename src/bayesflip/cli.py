@@ -35,20 +35,14 @@ _DIRECTION_TEXT = {
 }
 
 
-class Table(record("Table", "name header rows")):
+Table = record(
+    "Table", "name header rows",
     """One dataset of machine output: its name (the JSON key and file
     suffix when a command writes several), column names, and rows of
-    cells (see ``_writers``).  Report records are rows as they are."""
-
-    __slots__ = ()
-
+    cells (see ``_writers``).  Report records are rows as they are.""")
 
 # commands whose JSON is their table's single row as one object
 _ONE_OBJECT = ("bf", "paradox")
-
-
-class _OutputError(BayesFlipError):
-    """An output file could not be written."""
 
 
 @functools.cache
@@ -302,7 +296,7 @@ def _cmd_paradox(args: argparse.Namespace) -> tuple:
     post1 = posterior_prob_h0(pair.bf1)
     post2 = posterior_prob_h0(pair.bf2)
     d = args.precision
-    human = "\n".join([
+    lines = [
         f"z = {setup.z:.{d}f}, n = {setup.n}",
         f"flip point k* = {k_star:.{d}f}; critical prior sd tau* = {pair.tau_star:.{d}f}",
         f"analyst 1: tau = {pair.tau1:.{d}f}  ->  BF01 = {pair.bf1:.{d}f}  "
@@ -311,12 +305,16 @@ def _cmd_paradox(args: argparse.Namespace) -> tuple:
         f"(favours H0), P(H0 | data) = {post2:.{d}f}",
         "same data, same hypotheses: the direction of evidence is set by "
         "the prior scale alone.",
-    ])
+    ]
+    if pair.tau1 != pair.tau_star * (1.0 - args.spread):  # reversal_pair's second candidate
+        lines.append(f"note: --spread {args.spread:g} gives no reversal outside the "
+                     "neutral band; shown instead are the scale of the Bayes-factor "
+                     "minimum (k = z^2 - 1) and its mirror about tau*")
     header = ("z", "n", "k_star", "tau_star", "tau1", "tau2", "bf1", "bf2",
               "posterior_h0_tau1", "posterior_h0_tau2", "direction1", "direction2")
     row = (setup.z, setup.n, k_star, pair.tau_star, pair.tau1, pair.tau2, pair.bf1, pair.bf2,
            post1, post2, Direction.FAVOURS_H1, Direction.FAVOURS_H0)
-    return human, [Table("paradox", header, [row])], []
+    return "\n".join(lines), [Table("paradox", header, [row])], []
 
 
 _HANDLERS = {
@@ -332,7 +330,7 @@ _HANDLERS = {
 # --- output ---------------------------------------------------------------
 
 def _write(text: str, out: str | None) -> None:
-    """Write text to stdout, or to the file out (_OutputError if it fails).
+    """Write text to stdout, or to the file out (BayesFlipError if it fails).
 
     A stdout with a binary buffer gets the encoded bytes in a loop until
     all are taken: the text layer over an unbuffered stdout (python -u)
@@ -355,7 +353,7 @@ def _write(text: str, out: str | None) -> None:
         with open(out, "w") as f:
             f.write(text)
     except OSError as exc:
-        raise _OutputError(f"cannot write {out}: {exc.strerror or exc}") from None
+        raise BayesFlipError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _suffixed(out: str, tag: str, ext: str) -> str:

@@ -55,18 +55,15 @@ _RESIDUAL_BOUND = 1e-9
 _PHI_SERIES_K = 0.01
 
 
-class FlipPointResult(record("FlipPointResult", "k_star residual method z")):
+FlipPointResult = record(
+    "FlipPointResult", "k_star residual method z",
     """Flip point k* with the residual of its characterizing equation and
-    the method that produced it."""
+    the method that produced it.""")
 
-    __slots__ = ()
-
-
-class ReversalPair(record("ReversalPair", "tau1 tau2 tau_star bf1 bf2")):
+ReversalPair = record(
+    "ReversalPair", "tau1 tau2 tau_star bf1 bf2",
     """Two prior scales bracketing tau* whose Bayes factors point in
-    opposite directions on the same data."""
-
-    __slots__ = ()
+    opposite directions on the same data.""")
 
 
 def phi(k: float) -> float:

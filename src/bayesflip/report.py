@@ -11,7 +11,6 @@ from .bayes_factor import (
     Direction,
     NormalPrior,
     TestSetup,
-    _from_log,
     bf01,
     log_bf01,
     two_sided_p,
@@ -48,24 +47,18 @@ FIGURE_B_MARKER_TAUS = (0.8, 1.5)
 _FIGURE_B_SETUP = TestSetup(n=50, z=2.0)
 
 
-class SweepRow(record("SweepRow", "kind scale k bf01 log_bf01 direction")):
+SweepRow = record(
+    "SweepRow", "kind scale k bf01 log_bf01 direction",
     """One (scale, BF01) record of a sensitivity sweep; k = n*tau^2 is
-    None for Cauchy sweeps, and kind tags annotation rows."""
+    None for Cauchy sweeps, and kind tags annotation rows.""")
 
-    __slots__ = ()
+TableOneRow = record(
+    "TableOneRow", "z z_squared p_value k_star tau_star_n50 tau_star_n100",
+    """One row of the flip-point reference table.""")
 
-
-class TableOneRow(record("TableOneRow",
-                         "z z_squared p_value k_star tau_star_n50 tau_star_n100")):
-    """One row of the flip-point reference table."""
-
-    __slots__ = ()
-
-
-class FigureRow(record("FigureRow", "panel z x bf01 log_bf01 direction kind")):
-    """One figure sample: x is k in panel a, tau in panel b."""
-
-    __slots__ = ()
+FigureRow = record(
+    "FigureRow", "panel z x bf01 log_bf01 direction kind",
+    """One figure sample: x is k in panel a, tau in panel b.""")
 
 
 def scale_grid(lo: float, hi: float, points: int, spacing: str = "linear") -> list[float]:
@@ -97,18 +90,17 @@ def sweep_rows(setup: TestSetup, prior_family: str, scales: list[float]) -> list
     """One SweepRow per scale; normal priors use the closed form, Cauchy
     priors the closed-form Voigt marginal."""
     n = setup.n
-    # a row ends with the result's fields and needs no check: skip the
-    # namedtuple's Python __new__
+    # a row ends with the result's fields, joined with + (unpacking a record
+    # iterates it), and needs no check: skip the namedtuple's Python __new__
     if prior_family == "normal":
         points = ((s, n * s * s, bf01(setup, NormalPrior(s))) for s in scales)
-        return [tuple.__new__(SweepRow, (ROW_POINT, s, k, *res)) for s, k, res in points]
+        return [tuple.__new__(SweepRow, (ROW_POINT, s, k) + res) for s, k, res in points]
     if prior_family == "cauchy":
         from .cauchy import _log_bf01  # the only report that needs cauchy
 
-        z = setup.z
-        # each row's fields as bf01_cauchy's, without a prior or result record
-        return [tuple.__new__(SweepRow, (ROW_POINT, s, None,
-                                         *_from_log(tuple, _log_bf01(z, n, s))))
+        z, from_log = setup.z, BayesFactorResult.from_log  # one lookup per sweep
+        # each row's fields as bf01_cauchy's, without a prior record
+        return [tuple.__new__(SweepRow, (ROW_POINT, s, None) + from_log(_log_bf01(z, n, s)))
                 for s in scales]
     raise DomainError(f"unknown prior family {prior_family!r}")
 

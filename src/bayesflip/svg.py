@@ -9,8 +9,10 @@ dependency.
 from __future__ import annotations
 
 import math
+import sys
 
 from ._record import record
+from .errors import DomainError
 
 __all__ = ["Series", "Marker", "line_chart"]
 
@@ -19,6 +21,7 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _WIDTH, _HEIGHT = 720, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 30, 46
 _MARKER_COLOR = _PALETTE[1]
+_DBL_MAX = sys.float_info.max
 
 
 def _escape(text: str) -> str:
@@ -27,29 +30,32 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-class Series(record("Series", "label xs ys")):
-    """One polyline: a legend label and x and y coordinate tuples."""
+Series = record(
+    "Series", "label xs ys",
+    """One polyline: a legend label and x and y coordinate tuples.""")
 
-    __slots__ = ()
+Marker = record(
+    "Marker", "x y label",
+    """One circle marker at (x, y), labelled when label is not empty.""",
+    defaults=("",))
 
 
-class Marker(record("Marker", "x y label", defaults=("",))):
-    """One circle marker at (x, y), labelled when label is not empty."""
-
-    __slots__ = ()
+def _padded(lo: float, hi: float, frac: float) -> tuple[float, float]:
+    """[lo, hi] widened at each end by frac of its span, or by half of
+    max(1, |lo|) with no span: axis bounds that are finite and distinct."""
+    pad = frac * (hi - lo) or 0.5 * max(1.0, abs(lo))
+    return max(lo - pad, -_DBL_MAX), min(hi + pad, _DBL_MAX)
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
-    span = hi - lo
-    if span <= 0.0:
-        return [lo]
-    step = 10.0 ** math.floor(math.log10(span / 4.0))
+    quarter = hi / 4.0 - lo / 4.0  # span / 4, finite where the span overflows
+    step = 10.0 ** math.floor(math.log10(quarter))
     for mult in (1.0, 2.0, 5.0, 10.0):
-        if span / (step * mult) <= 6.0:
+        if quarter / (step * mult) <= 1.5:
             step *= mult
             break
     return [i * step for i in range(math.ceil(lo / step),
-                                    math.floor((hi + 1e-9 * span) / step) + 1)]
+                                    math.floor(hi / step + 4e-9 * quarter / step) + 1)]
 
 
 def _decade_ticks(lo: float, hi: float) -> list[float]:
@@ -91,22 +97,22 @@ def line_chart(series: list[Series], markers: list[Marker] = (), *, title: str,
     xs = [v for v in xs if math.isfinite(v)]
     ys = [v for v in ys if math.isfinite(v)]
     if not xs:  # ys holds at least the BF01 = 1 line
-        raise ValueError("nothing finite to plot")
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    x_pad = 0.04 * (x_hi - x_lo) or 0.5
-    y_pad = 0.06 * (y_hi - y_lo) or 0.5
-    x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
-    y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+        raise DomainError("nothing finite to plot")
+    x_lo, x_hi = _padded(min(xs), max(xs), 0.04)
+    y_lo, y_hi = _padded(min(ys), max(ys), 0.06)
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
+    # differences of halves: exact halves, and finite on any finite axis
+    x_lo2, x_span2 = x_lo / 2, x_hi / 2 - x_lo / 2
+    y_hi2, y_span2 = y_hi / 2, y_hi / 2 - y_lo / 2
+
     def px(v: float) -> float:
-        return _MARGIN_L + (tx(v) - x_lo) / (x_hi - x_lo) * plot_w
+        return _MARGIN_L + (tx(v) / 2 - x_lo2) / x_span2 * plot_w
 
     def py(v: float) -> float:
-        return _MARGIN_T + (y_hi - ty(v)) / (y_hi - y_lo) * plot_h
+        return _MARGIN_T + (y_hi2 - ty(v) / 2) / y_span2 * plot_h
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '

@@ -259,6 +259,16 @@ class TestInputContract:
                 make(int(sys.float_info.max) + 1)
         assert TestSetup(int(sys.float_info.max), 2.0).n == int(sys.float_info.max)
 
+    @pytest.mark.parametrize("n,match", [(-1, "integer >= 1"), (0, "integer >= 1"),
+                                         (2.5, "integer >= 1"),
+                                         (10**400, "must fit in a float")],
+                             ids=["-1", "0", "2.5", "10**400"])
+    def test_from_sample_mean_checks_n_before_its_square_root(self, n, match):
+        """math.sqrt(n) raised a bare ValueError for n = -1 and a bare
+        OverflowError for n = 10**400."""
+        with pytest.raises(DomainError, match=match):
+            TestSetup.from_sample_mean(n, 0.1)
+
     def test_integer_like_sample_sizes_accepted(self):
         assert TestSetup(n=np.int64(50), z=2.0).n == 50
 

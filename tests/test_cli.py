@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from bayesflip import cli
 from bayesflip.bayes_factor import log_bf01
 
 REPO = Path(__file__).resolve().parents[1]
@@ -117,6 +118,33 @@ class TestFlipCommand:
         assert rows[0]["k_star"] == pytest.approx(rows[1]["k_star"], rel=1e-9)
 
 
+SWEEP = ("sweep", "--z", "2", "--n", "50")
+# argv, and the message _validate gives for it
+USAGE_ERRORS = [
+    (("bf", "--z", "2", "--n", "50", "--scale", "1", "--precision", "-1"),
+     "--precision must be nonnegative"),
+    (("bf", "--z", "2", "--n", "0", "--scale", "1"), "--n must be >= 1"),
+    (("paradox", "--z", "2", "--n", "50", "--spread", "1"), "--spread must lie in (0, 1)"),
+    ((*SWEEP, "--scale-min", "-1", "--scale-max", "1"), "prior scales must be positive"),
+    ((*SWEEP, "--scale-min", "1", "--scale-max", "2", "--points", "1"),
+     "--points must be >= 2"),
+    ((*SWEEP, "--scale-min", "3", "--scale-max", "1"),
+     "--scale-min must be below --scale-max"),
+    (("figure1", "--points-a", "1"), "--points-a and --points-b must be >= 2"),
+    (("figure1", "--format", "svg"), "figure1 --format svg needs --out (two documents)"),
+]
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS, ids=[m for _, m in USAGE_ERRORS])
+def test_usage_error_names_the_flag(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {message}\n"), captured.err
+
+
 class TestSweepCommand:
     def test_direction_changes_once_with_trailing_flip_row(self):
         cp = run_cli("sweep", "--z", "2", "--n", "50", "--prior", "normal",
@@ -178,6 +206,17 @@ class TestSweepCommand:
         for axis in ([t.text for t in texts if t.get("y") == "452"],
                      [t.text for t in texts if t.get("text-anchor") == "end"]):
             assert axis and len(axis) == len(set(axis)), axis
+
+    def test_svg_up_to_the_largest_float(self):
+        """The axis padding reaches past the largest float; it is clamped,
+        so the ticks and pixels stay finite and the points stay apart."""
+        cp = run_cli("sweep", "--z", "5", "--n", "50", "--prior", "cauchy",
+                     "--scale-min", "0.1", "--scale-max", "1.79e308", "--points", "5",
+                     "--format", "svg")
+        assert cp.returncode == 0, cp.stderr
+        line = ET.fromstring(cp.stdout).find("{http://www.w3.org/2000/svg}polyline")
+        xs = [float(p.split(",")[0]) for p in line.get("points").split()]
+        assert xs == sorted(set(xs)) and len(xs) == 5
 
 
 class TestTableCommand:
@@ -248,6 +287,7 @@ class TestParadoxCommand:
         assert cp.returncode == 0
         assert "0.99" in cp.stdout
         assert "favours H1" in cp.stdout and "favours H0" in cp.stdout
+        assert "note:" not in cp.stdout  # the requested spread gives the pair
 
     def test_tiny_spread_shows_the_minimum_pair(self):
         """1 - 1e-18 rounds to 1; the pair is the Bayes-factor minimum's
@@ -256,6 +296,9 @@ class TestParadoxCommand:
         assert cp.returncode == 0, cp.stderr
         assert "BF01 = 0.4463  (favours H1)" in cp.stdout
         assert "BF01 = 3.8745  (favours H0)" in cp.stdout
+        assert ("note: --spread 1e-18 gives no reversal outside the neutral band; shown "
+                "instead are the scale of the Bayes-factor minimum (k = z^2 - 1) and its "
+                "mirror about tau*\n") in cp.stdout
 
     def test_json_fields(self):
         cp = run_cli("paradox", "--z", "1.96", "--n", "5000", "--format", "json")

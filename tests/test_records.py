@@ -2,6 +2,7 @@
 one type only, validation on every construction path, immutability,
 pickling and repr."""
 
+import importlib
 import math
 import pickle
 
@@ -32,6 +33,11 @@ SAMPLES = [
 ]
 RECORD_TYPES = (TestSetup, NormalPrior, CauchyPrior, BayesFactorResult, FlipPointResult,
                 ReversalPair, SweepRow, TableOneRow, FigureRow, Series, Marker, Table)
+
+
+# records with no checks and no methods: the namedtuple type itself
+PLAIN_TYPES = (FlipPointResult, ReversalPair, SweepRow, TableOneRow, FigureRow, Table,
+               Series, Marker)
 
 
 def ids(records):
@@ -113,6 +119,13 @@ def test_pickle_round_trips_every_record(protocol):
     for r in SAMPLES:
         back = pickle.loads(pickle.dumps(r, protocol))
         assert type(back) is type(r) and back == r
+
+
+@pytest.mark.parametrize("cls", PLAIN_TYPES, ids=[c.__name__ for c in PLAIN_TYPES])
+def test_plain_record_is_one_type_in_its_own_module(cls):
+    assert cls.__mro__ == (cls, tuple, object)
+    assert getattr(importlib.import_module(cls.__module__), cls.__qualname__) is cls
+    assert cls.__doc__ and not cls.__doc__.startswith(cls.__name__ + "(")
 
 
 def test_repr():

@@ -3,6 +3,7 @@ emitter."""
 
 import math
 import re
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -23,7 +24,9 @@ from bayesflip.report import (
     sweep_rows,
     table_rows,
 )
-from bayesflip.svg import Marker, Series, _nice_ticks, line_chart
+from bayesflip.svg import Marker, Series, _nice_ticks, _padded, line_chart
+
+DBL_MAX = sys.float_info.max
 
 # published-precision reference cells: z -> (p, k*, tau*(50), tau*(100))
 TABLE_CELLS = {
@@ -209,6 +212,14 @@ class TestSvgEmitter:
     def test_nothing_to_plot_raises(self):
         with pytest.raises(ValueError):
             line_chart([Series("empty", (), ())], title="empty", x_label="x")
+        with pytest.raises(DomainError, match="nothing finite"):
+            line_chart([Series("nan", (math.nan,), (1.0,))], title="nan", x_label="x")
+
+    @pytest.mark.parametrize("x", [1e16, DBL_MAX, -DBL_MAX])
+    def test_one_x_value_at_any_magnitude_parses(self, x):
+        """The pad of a zero-width axis scales with the value: a pad of 0.5
+        vanished past about 2^53 and left the axis with no width."""
+        ET.fromstring(line_chart([Series("a", (x,), (1.0,))], title="t", x_label="x"))
 
 
 # axis bounds as charts meet them: zero or a normal float, far from overflow
@@ -240,6 +251,18 @@ def test_nice_ticks_are_few_sorted_and_in_range(bounds):
     assert ticks == sorted(ticks)
     for t in ticks:
         assert lo - math.ulp(lo) <= t <= top + math.ulp(top)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(FINITE, FINITE, st.sampled_from([0.04, 0.06]))
+def test_padded_axis_is_finite_and_distinct_over_the_float_range(a, b, frac):
+    lo, hi = _padded(min(a, b), max(a, b), frac)
+    assert -DBL_MAX <= lo <= min(a, b) <= max(a, b) <= hi <= DBL_MAX and lo < hi
+    ticks = _nice_ticks(lo, hi)
+    assert len(ticks) <= 12 and ticks == sorted(ticks)
+    assert all(math.isfinite(t) for t in ticks)
 
 
 @given(axis_ranges())

@@ -14,7 +14,7 @@ from scipy.special import wofz
 from bayesflip import _kernels, cauchy
 from bayesflip.bayes_factor import TestSetup
 from bayesflip.cauchy import Z_CRIT, CauchyPrior, bf01_cauchy, cauchy_flip_scale
-from bayesflip.errors import DomainError, NoFlipPoint
+from bayesflip.errors import ConvergenceError, DomainError, NoFlipPoint
 
 from _oracles import quad_log_bf01
 
@@ -179,6 +179,20 @@ class TestFlipScale:
     def test_no_flip_at_or_below_critical_z(self, z):
         with pytest.raises(NoFlipPoint):
             cauchy_flip_scale(TestSetup(n=50, z=z))
+
+    @pytest.mark.parametrize("z", [Z_CRIT + 1e-8, Z_CRIT + 1e-6, -(Z_CRIT + 1e-8),
+                                   -(Z_CRIT + 1e-6)])
+    def test_too_close_above_critical_z_raises(self, z):
+        """There the bracketed root is off by 1.4e-5 (1e-6 above) to 0.66
+        (1e-8 above) relative, from rounding in log BF01."""
+        with pytest.raises(ConvergenceError, match=r"z = -?1\.3069.*below 1e-05"):
+            cauchy_flip_scale(TestSetup(n=1, z=z))
+
+    @pytest.mark.parametrize("gap", [1e-5, 1e-4])
+    def test_from_the_gap_on_against_mpmath_root(self, gap):
+        want = float(mpmath.exp(mp_log_gamma_star(Z_CRIT + gap)))
+        for z in (Z_CRIT + gap, -(Z_CRIT + gap)):
+            assert cauchy_flip_scale(TestSetup(n=1, z=z)) == pytest.approx(want, rel=3e-7)
 
     def test_critical_z_is_where_the_slope_at_zero_changes_sign(self):
         """Z_CRIT = sqrt(2) x0 with 2 x0 F(x0) = 1, F Dawson's function."""
