@@ -6,8 +6,9 @@ carrying full float precision.  Either goes to stdout, or to --out when
 given.  Exit codes: 0 success, 1 computation/domain error, an output
 file that cannot be written or a closed stdout, 2 usage error.
 
-Each handler takes the parsed argparse namespace and returns its human
-text, its data as ``Table`` records, and its SVG renderers; ``_emit``
+Each subcommand is declared once, in ``build_parser``, with its handler
+(``args.run``) and its JSON shape (``args.one_object``).  A handler
+returns human text, ``Table`` records and SVG renderers; ``_emit``
 renders only the format asked for; calls of ``main`` in one process
 share one parser.  Every invocation is a fresh process, so ``cauchy``,
 ``flip``, ``report``, ``svg`` and the CSV/JSON writers are imported in the
@@ -41,14 +42,12 @@ Table = record(
     suffix when a command writes several), column names, and rows of
     cells (see ``_writers``).  Report records are rows as they are.""")
 
-# commands whose JSON is their table's single row as one object
-_ONE_OBJECT = ("bf", "paradox")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command's parser, built on the first call and shared by every
     later one: parsing leaves it unchanged, and callers must not modify it."""
+    import re
+
     # a fixed help width: the default asks the terminal, importing shutil
     formatter = functools.partial(argparse.HelpFormatter, width=78)
     parser = argparse.ArgumentParser(
@@ -58,7 +57,15 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    add_parser = functools.partial(sub.add_parser, formatter_class=formatter)
+    # argparse takes a token for a negative number, not a flag, only as -5
+    # or -.5; this takes every float form, -1e-05 and -inf too
+    negative_number = re.compile(r"-\.?\d|-(inf|infinity|nan)$", re.IGNORECASE)
+
+    def add_parser(name, run, help, one_object=False):
+        p = sub.add_parser(name, help=help, formatter_class=formatter)
+        p.set_defaults(run=run, one_object=one_object)
+        p._negative_number_matcher = negative_number
+        return p
 
     def common(p, formats=("csv", "json"), precision=True):
         p.add_argument("--format", choices=formats, default=None,
@@ -68,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--precision", type=int, default=4,
                            help="decimal places for human-readable output (default 4)")
 
-    p = add_parser("bf", help="Bayes factor for one prior scale")
+    p = add_parser("bf", _cmd_bf, "Bayes factor for one prior scale", one_object=True)
     p.add_argument("--z", type=float, required=True, help="z-statistic")
     p.add_argument("--n", type=int, required=True, help="sample size")
     p.add_argument("--prior", choices=("normal", "cauchy"), default="normal")
@@ -76,14 +83,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="prior scale (tau for normal, r for cauchy)")
     common(p)
 
-    p = add_parser("flip", help="flip point k* and critical prior scale")
+    p = add_parser("flip", _cmd_flip, "flip point k* and critical prior scale")
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--n", type=int, default=None,
                    help="sample size for tau* = sqrt(k*/n) (optional)")
     p.add_argument("--method", choices=("bracketed", "lambert_w", "both"), default="both")
     common(p)
 
-    p = add_parser("sweep", help="Bayes factor over a grid of prior scales")
+    p = add_parser("sweep", _cmd_sweep, "Bayes factor over a grid of prior scales")
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--prior", choices=("normal", "cauchy"), default="normal")
@@ -93,15 +100,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spacing", choices=("linear", "log"), default="linear")
     common(p, formats=("csv", "json", "svg"))
 
-    p = add_parser("table1", help="flip points for the reference z grid")
+    p = add_parser("table1", _cmd_table1, "flip points for the reference z grid")
     common(p, precision=False)  # always printed at published precision
 
-    p = add_parser("figure1", help="datasets behind the two reversal panels")
+    p = add_parser("figure1", _cmd_figure1, "datasets behind the two reversal panels")
     p.add_argument("--points-a", type=int, default=200, help="grid points per panel-A curve")
     p.add_argument("--points-b", type=int, default=120, help="grid points for panel B")
     common(p, formats=("csv", "json", "svg"))
 
-    p = add_parser("paradox", help="construct a reversal pair for the data")
+    p = add_parser("paradox", _cmd_paradox, "construct a reversal pair for the data",
+                   one_object=True)
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--spread", type=float, default=0.5,
@@ -317,16 +325,6 @@ def _cmd_paradox(args: argparse.Namespace) -> tuple:
     return "\n".join(lines), [Table("paradox", header, [row])], []
 
 
-_HANDLERS = {
-    "bf": _cmd_bf,
-    "flip": _cmd_flip,
-    "sweep": _cmd_sweep,
-    "table1": _cmd_table1,
-    "figure1": _cmd_figure1,
-    "paradox": _cmd_paradox,
-}
-
-
 # --- output ---------------------------------------------------------------
 
 def _write(text: str, out: str | None) -> None:
@@ -375,7 +373,7 @@ def _emit(args: argparse.Namespace, human: str, tables: list[Table], svgs: list)
     if fmt == "json":
         from ._writers import json_text
 
-        _write(json_text(tables, args.command in _ONE_OBJECT), out)
+        _write(json_text(tables, args.one_object), out)
         return
     if fmt == "csv":
         from ._writers import csv_text
@@ -383,10 +381,8 @@ def _emit(args: argparse.Namespace, human: str, tables: list[Table], svgs: list)
         docs = [csv_text(t) for t in tables]
     else:
         docs = [render() for render in svgs]
-    if out is None:  # several SVGs need --out, by validation
-        _write("\n".join(docs), None)
-    elif len(docs) == 1:
-        _write(docs[0], out)
+    if out is None or len(docs) == 1:  # several SVGs need --out, by validation
+        _write("\n".join(docs), out)
     else:
         for t, doc in zip(tables, docs):
             _write(doc, _suffixed(out, t.name, "." + fmt))
@@ -397,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     _validate(parser, args)
     try:
-        _emit(args, *_HANDLERS[args.command](args))
+        _emit(args, *args.run(args))
         sys.stdout.flush()
     except BayesFlipError as exc:
         print(f"error: {exc}", file=sys.stderr)

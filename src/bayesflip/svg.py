@@ -47,15 +47,16 @@ def _padded(lo: float, hi: float, frac: float) -> tuple[float, float]:
     return max(lo - pad, -_DBL_MAX), min(hi + pad, _DBL_MAX)
 
 
-def _nice_ticks(lo: float, hi: float) -> list[float]:
+def _nice_step(lo: float, hi: float) -> float:
     quarter = hi / 4.0 - lo / 4.0  # span / 4, finite where the span overflows
     step = 10.0 ** math.floor(math.log10(quarter))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if quarter / (step * mult) <= 1.5:
-            step *= mult
-            break
-    return [i * step for i in range(math.ceil(lo / step),
-                                    math.floor(hi / step + 4e-9 * quarter / step) + 1)]
+    return next(step * m for m in (1.0, 2.0, 5.0, 10.0) if quarter / (step * m) <= 1.5)
+
+
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    step = _nice_step(lo, hi)
+    top = hi / step + 4e-9 * (hi / 4.0 - lo / 4.0) / step
+    return [i * step for i in range(math.ceil(lo / step), math.floor(top) + 1)]
 
 
 def _decade_ticks(lo: float, hi: float) -> list[float]:
@@ -63,21 +64,26 @@ def _decade_ticks(lo: float, hi: float) -> list[float]:
     return ticks or [10.0 ** lo]
 
 
-def _fmt(v: float) -> str:
-    if v != 0.0 and (abs(v) >= 1e4 or abs(v) < 1e-3):
-        return f"{v:.0e}"
-    return f"{v:g}"
+def _fmt(v: float, unit: int | None) -> str:
+    """Label of tick v with its digits down to 10**unit (one if unit is None),
+    zeros dropped: :g form, 6 digits or more, in [1e-3, 1e4), else exponent form."""
+    places = 0 if unit is None else max(0, math.floor(math.log10(abs(v) or 1.0)) - unit)
+    if v == 0.0 or 1e-3 <= abs(v) < 1e4:
+        return f"{v:.{min(17, max(6, places + 1))}g}"
+    mantissa, exp = f"{v:.{min(16, places)}e}".split("e")
+    return f"{mantissa.rstrip('0').rstrip('.')}e{exp}"
 
 
-def _drawn_ticks(ticks, to_px, lo: float, hi: float):
-    """(pixel, label) of each tick within half a pixel of [lo, hi] whose
-    label and pixel, as written, both differ from the last drawn tick's:
-    on an axis finer than the labels' digits, ticks would overprint."""
+def _drawn_ticks(lo: float, hi: float, log: bool, to_px, px_lo: float, px_hi: float):
+    """(pixel, label) of each tick of [lo, hi] (decades if log) within half a
+    pixel of [px_lo, px_hi] whose label and pixel, as written, both differ
+    from the last drawn: on an axis finer than the labels, ticks overprint."""
+    unit = None if log else math.floor(math.log10(_nice_step(lo, hi)))
     last_pos = last_label = None
-    for t in ticks:
+    for t in _decade_ticks(lo, hi) if log else _nice_ticks(lo, hi):
         p = to_px(t)
-        pos, label = f"{p:.1f}", _fmt(t)
-        if lo - 0.5 <= p <= hi + 0.5 and pos != last_pos and label != last_label:
+        pos, label = f"{p:.1f}", _fmt(t, unit)
+        if px_lo - 0.5 <= p <= px_hi + 0.5 and pos != last_pos and label != last_label:
             last_pos, last_label = pos, label
             yield p, label
 
@@ -126,14 +132,12 @@ def line_chart(series: list[Series], markers: list[Marker] = (), *, title: str,
     out.append(f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
                f'fill="none" stroke="#333" stroke-width="1"/>')
 
-    x_ticks = _decade_ticks(x_lo, x_hi) if log_x else _nice_ticks(x_lo, x_hi)
-    y_ticks = _decade_ticks(y_lo, y_hi) if log_y else _nice_ticks(y_lo, y_hi)
-    for x, label in _drawn_ticks(x_ticks, px, _MARGIN_L, _WIDTH - _MARGIN_R):
+    for x, label in _drawn_ticks(x_lo, x_hi, log_x, px, _MARGIN_L, _WIDTH - _MARGIN_R):
         out.append(f'<line x1="{x:.1f}" y1="{_MARGIN_T + plot_h}" x2="{x:.1f}" '
                    f'y2="{_MARGIN_T + plot_h + 5}" stroke="#333"/>')
         out.append(f'<text x="{x:.1f}" y="{_MARGIN_T + plot_h + 18}" '
                    f'text-anchor="middle">{label}</text>')
-    for y, label in _drawn_ticks(y_ticks, py, _MARGIN_T, _HEIGHT - _MARGIN_B):
+    for y, label in _drawn_ticks(y_lo, y_hi, log_y, py, _MARGIN_T, _HEIGHT - _MARGIN_B):
         out.append(f'<line x1="{_MARGIN_L - 5}" y1="{y:.1f}" x2="{_MARGIN_L}" '
                    f'y2="{y:.1f}" stroke="#333"/>')
         out.append(f'<text x="{_MARGIN_L - 8}" y="{y + 4:.1f}" '

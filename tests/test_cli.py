@@ -1,6 +1,8 @@
 """CLI golden tests: exit codes, machine-output round-trips, and the
 figure/table datasets, exercised through ``python -m bayesflip``."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,6 +13,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bayesflip import cli
 from bayesflip.bayes_factor import log_bf01
@@ -40,6 +43,14 @@ class TestExitCodes:
         cp = run_cli("--help")
         assert cp.returncode == 0
         assert "bf" in cp.stdout and "paradox" in cp.stdout
+
+    @pytest.mark.parametrize("command", ["bf", "flip", "sweep", "table1", "figure1", "paradox"])
+    def test_subcommand_help(self, command, capsys):
+        """argparse formats a subcommand's help only when asked for it."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: bayesflip {command} ")
 
     def test_success_is_zero(self):
         cp = run_cli("bf", "--z", "2", "--n", "50", "--prior", "normal", "--scale", "0.8")
@@ -145,6 +156,81 @@ def test_usage_error_names_the_flag(argv, message, capsys):
     assert captured.err.endswith(f"error: {message}\n"), captured.err
 
 
+class TestNegativeNumbers:
+    """A value in any float form after a flag is the flag's value: argparse
+    alone takes only -5 and -.5 for numbers, and read -1e-05 as a flag."""
+
+    BF = ["bf", "--n", "50", "--scale", "1", "--format", "json"]
+
+    @pytest.mark.parametrize("z", ["-1e-05", "-2.90771851041427e-12", "-1E+2", "-3."])
+    def test_exponent_form_z_is_a_value(self, z, capsys):
+        assert cli.main([*self.BF, f"--z={z}"]) == 0
+        joined = capsys.readouterr().out
+        assert cli.main([*self.BF, "--z", z]) == 0
+        assert capsys.readouterr().out == joined
+        assert json.loads(joined)["z"] == float(z)
+
+    # apart from USAGE_ERRORS, whose test ids are the messages
+    @pytest.mark.parametrize("argv,message", [
+        ((*SWEEP, "--scale-min", "-1e-05", "--scale-max", "1"), "prior scales must be positive"),
+        (("bf", "--z", "-inf", "--n", "50", "--scale", "1"), "--z must be finite, got -inf"),
+    ])
+    def test_validation_sees_the_value(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} in JSON output")
+
+
+Z = st.floats(-40.0, 40.0)
+N = st.integers(1, 10**9)
+SCALE = st.floats(1e-9, 1e9)
+
+
+@st.composite
+def cli_runs(draw):
+    """argv of one bf, sweep, flip or paradox run over the flags' domain."""
+    z = ["--z", repr(draw(Z))]
+    command = draw(st.sampled_from(["bf", "sweep", "flip", "paradox"]))
+    if command == "bf":
+        return ["bf", *z, "--n", str(draw(N)), "--prior",
+                draw(st.sampled_from(["normal", "cauchy"])), "--scale", repr(draw(SCALE))]
+    if command == "sweep":
+        lo, hi = sorted(draw(st.lists(SCALE, min_size=2, max_size=2, unique=True)))
+        return ["sweep", *z, "--n", str(draw(N)),
+                "--prior", draw(st.sampled_from(["normal", "cauchy"])),
+                "--spacing", draw(st.sampled_from(["linear", "log"])),
+                "--scale-min", repr(lo), "--scale-max", repr(hi),
+                "--points", str(draw(st.integers(2, 12)))]
+    if command == "flip":
+        n = draw(st.none() | N)
+        return ["flip", *z, *([] if n is None else ["--n", str(n)]),
+                "--method", draw(st.sampled_from(["bracketed", "lambert_w", "both"]))]
+    spread = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return ["paradox", *z, "--n", str(draw(N)), "--spread", repr(spread)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_runs())
+@example(["bf", "--z", "-2.90771851041427e-12", "--n", "50", "--scale", "1"])
+def test_every_run_is_strict_json_or_a_one_line_error(argv):
+    """Within the flags' domain a run exits 0 with JSON free of NaN and
+    Infinity, or exits 1 with an error line: never a usage error or a
+    traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*argv, "--format", "json"])
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert err.getvalue() == ""
+    else:
+        assert code == 1 and err.getvalue().startswith("error: "), err.getvalue()
+
+
 class TestSweepCommand:
     def test_direction_changes_once_with_trailing_flip_row(self):
         cp = run_cli("sweep", "--z", "2", "--n", "50", "--prior", "normal",
@@ -206,6 +292,25 @@ class TestSweepCommand:
         for axis in ([t.text for t in texts if t.get("y") == "452"],
                      [t.text for t in texts if t.get("text-anchor") == "end"]):
             assert axis and len(axis) == len(set(axis)), axis
+
+    @pytest.mark.parametrize("scale_min,scale_max,labels", [
+        ("1000", "20000", ["5000", "1e+04", "1.5e+04", "2e+04"]),
+        ("100500", "103000",
+         ["1.005e+05", "1.01e+05", "1.015e+05", "1.02e+05", "1.025e+05", "1.03e+05"]),
+        ("100", "1.79e308", ["0", "5e+307", "1e+308", "1.5e+308"]),
+        ("1000", "1000.01",
+         ["1000", "1000.002", "1000.004", "1000.006", "1000.008", "1000.01"]),
+    ])
+    def test_svg_tick_labels_carry_the_digits_of_their_step(self, scale_min, scale_max,
+                                                             labels, capsys):
+        """Labels used to have one digit in exponent form and six in :g
+        form: 15000 read 2e+04 and 1000.002 read 1000, and the next tick
+        that read the same was dropped as a repeat."""
+        assert cli.main(["sweep", "--z", "5", "--n", "50", "--prior", "cauchy",
+                         "--scale-min", scale_min, "--scale-max", scale_max,
+                         "--points", "5", "--format", "svg"]) == 0
+        texts = ET.fromstring(capsys.readouterr().out).iter("{http://www.w3.org/2000/svg}text")
+        assert [t.text for t in texts if t.get("y") == "452"] == labels
 
     def test_svg_up_to_the_largest_float(self):
         """The axis padding reaches past the largest float; it is clamped,
