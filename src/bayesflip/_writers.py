@@ -12,8 +12,12 @@ every other cell is its ``str``.  Cells are not quoted.
 JSON: exactly the text of ``json.dumps(obj, indent=2)``, where each row
 is the object ``dict(zip(header, row))``, its cells taken as above.
 Each table's rows are filled into one ``%``-template, because
-``json.dumps`` with an indent runs CPython's pure-Python encoder.
-``json`` is imported only when JSON is written.
+``json.dumps`` with an indent runs CPython's pure-Python encoder.  Cells
+are formatted a column at a time, with one type test per column: a
+column of finite floats is its ``repr``s, a column of one non-numeric
+type (kind tags, directions, ``None``) formats each distinct object once,
+and any other column goes cell by cell.  ``json`` is imported only when
+JSON is written.
 """
 
 __all__ = ["csv_text", "json_text"]
@@ -40,6 +44,19 @@ def json_text(tables, one_object: bool) -> str:
             return dumps(v)
         return quote(str(v))
 
+    def column(cells):
+        """The JSON text of each cell of one column."""
+        kinds = set(map(type, cells))
+        if kinds == {float} and all(map(isfinite, cells)):
+            return map(repr, cells)
+        (kind, *others) = kinds
+        if others or issubclass(kind, (int, float)):
+            return map(cell, cells)
+        # by identity: exact for any type, and a column's tags are a few objects
+        text = {id(v): v for v in cells}
+        text = {i: cell(v) for i, v in text.items()}
+        return map(text.__getitem__, map(id, cells))
+
     def template(header, indent):
         """%-template of one row object whose closing brace is at indent."""
         sep = "\n" + indent + "  "
@@ -47,9 +64,9 @@ def json_text(tables, one_object: bool) -> str:
         return "{" + sep + ("," + sep).join(keys) + "\n" + indent + "}"
 
     def rows(table, indent):
-        row_template = template(table.header, indent + "  ")
         sep = "\n" + indent + "  "
-        objects = [row_template % tuple(map(cell, row)) for row in table.rows]
+        cells = zip(*map(column, zip(*table.rows)))  # row by row, formatted by column
+        objects = map(template(table.header, indent + "  ").__mod__, cells)
         return "[" + sep + ("," + sep).join(objects) + "\n" + indent + "]"
 
     if one_object:

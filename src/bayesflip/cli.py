@@ -7,7 +7,8 @@ given.  Exit codes: 0 success, 1 computation/domain error, an output
 file that cannot be written or a closed stdout, 2 usage error.
 
 Each subcommand is declared once, in ``build_parser``, with its handler
-(``args.run``) and its JSON shape (``args.one_object``).  A handler
+(``args.run``), its JSON shape (``args.one_object``) and its own parser
+(``args.parser``, which reports its usage errors).  A handler
 returns human text, ``Table`` records and SVG renderers; ``_emit``
 renders only the format asked for; calls of ``main`` in one process
 share one parser.  Every invocation is a fresh process, so ``cauchy``,
@@ -63,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_parser(name, run, help, one_object=False):
         p = sub.add_parser(name, help=help, formatter_class=formatter)
-        p.set_defaults(run=run, one_object=one_object)
+        p.set_defaults(run=run, one_object=one_object, parser=p)
         p._negative_number_matcher = negative_number
         return p
 
@@ -119,9 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Flag-level validation; anything wrong here is a usage error (exit 2)."""
+def _validate(args: argparse.Namespace) -> None:
+    """Flag-level validation; anything wrong here is a usage error (exit 2),
+    reported with the subcommand's usage line, as argparse's own are."""
     params = vars(args)
+    parser = args.parser
     if "precision" in params and args.precision < 0:
         parser.error("--precision must be nonnegative")
     for key in ("z", "scale", "scale_min", "scale_max"):
@@ -389,9 +392,8 @@ def _emit(args: argparse.Namespace, human: str, tables: list[Table], svgs: list)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _validate(parser, args)
+    args = build_parser().parse_args(argv)
+    _validate(args)
     try:
         _emit(args, *args.run(args))
         sys.stdout.flush()

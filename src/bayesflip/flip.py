@@ -123,10 +123,13 @@ def _no_finite_k_star(z: float) -> DomainError:
     )
 
 
-def flip_point(z: float, method: FlipMethod = FlipMethod.BRACKETED) -> FlipPointResult:
+def flip_point(z: float, method: FlipMethod = FlipMethod.LAMBERT_W) -> FlipPointResult:
     """The unique k* > z^2 - 1 with BF01(z; k*) = 1; requires |z| > 1.
 
-    BRACKETED solves phi(k) - 1 = z^2 - 1, the flip equation
+    The default, LAMBERT_W, is the closed form and the more accurate route
+    (within 6.4e-14 of 50-digit k* over 1.01 <= |z| <= 26.6, where the
+    bracketed route is within 2.5e-13); BRACKETED is the independent second
+    route.  BRACKETED solves phi(k) - 1 = z^2 - 1, the flip equation
     (1+k) log(1+k) = z^2 k divided by k, with both sides formed so they stay
     accurate as z -> 1 (the solve phi_inverse shares).  LAMBERT_W evaluates
     exp(W0(-z^2 e^{-z^2}) + z^2) - 1; the principal branch picks out the

@@ -15,7 +15,7 @@ from .bayes_factor import (
     log_bf01,
     two_sided_p,
 )
-from .errors import DomainError
+from .errors import DomainError, NoFlipPoint
 from .flip import flip_point, tau_star
 
 __all__ = [
@@ -107,12 +107,14 @@ def sweep_rows(setup: TestSetup, prior_family: str, scales: list[float]) -> list
 
 def sweep_flip_row(setup: TestSetup) -> SweepRow | None:
     """Trailing annotation row carrying k* and tau* for normal-prior
-    sweeps; None when |z| <= 1 (no flip point exists)."""
-    if abs(setup.z) <= 1.0:
+    sweeps; None where k* is not a finite float: |z| <= 1 (no flip point
+    exists) and |z| above about 26.64 (k* overflows), where the sweep's
+    point rows are still computed."""
+    try:
+        k_star = flip_point(setup.z).k_star
+    except (NoFlipPoint, DomainError):  # setup.z is finite: |z| <= 1 or k* overflows
         return None
-    fp = flip_point(setup.z)
-    ts = tau_star(fp.k_star, setup.n)
-    return SweepRow(ROW_FLIP, ts, fp.k_star, 1.0, 0.0, Direction.NEUTRAL)
+    return SweepRow(ROW_FLIP, tau_star(k_star, setup.n), k_star, 1.0, 0.0, Direction.NEUTRAL)
 
 
 def table_rows() -> list[TableOneRow]:
@@ -136,10 +138,11 @@ def figure_panel_a(points: int = 200) -> list[FigureRow]:
     [1e-2, 1e5], with one flip-point marker row per curve."""
     rows = []
     ks = scale_grid(*FIGURE_A_K_RANGE, points, "log")
+    from_log = BayesFactorResult.from_log
     for z in TABLE_Z_VALUES:
-        for k in ks:
-            res = BayesFactorResult.from_log(log_bf01(z, k))
-            rows.append(FigureRow("a", z, k, res.bf01, res.log_bf01, res.direction, ROW_POINT))
+        # as in sweep_rows: the result's fields joined in, no namedtuple __new__
+        rows.extend([tuple.__new__(FigureRow, ("a", z, k) + from_log(log_bf01(z, k))
+                                   + (ROW_POINT,)) for k in ks])
         fp = flip_point(z)
         rows.append(FigureRow("a", z, fp.k_star, 1.0, 0.0, Direction.NEUTRAL, ROW_FLIP))
     return rows

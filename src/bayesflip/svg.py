@@ -96,8 +96,11 @@ def line_chart(series: list[Series], markers: list[Marker] = (), *, title: str,
     tx = (lambda v: math.log10(v)) if log_x else (lambda v: v)
     ty = (lambda v: math.log10(v)) if log_y else (lambda v: v)
 
-    xs = [tx(x) for s in series for x in s.xs] + [tx(m.x) for m in markers]
-    ys = [ty(y) for s in series for y in s.ys] + [ty(m.y) for m in markers] + [ty(1.0)]
+    # each series on the axes' scales, transformed once for bounds and polyline
+    series_xs = [list(map(math.log10, s.xs)) if log_x else s.xs for s in series]
+    series_ys = [list(map(math.log10, s.ys)) if log_y else s.ys for s in series]
+    xs = [v for t in series_xs for v in t] + [tx(m.x) for m in markers]
+    ys = [v for t in series_ys for v in t] + [ty(m.y) for m in markers] + [ty(1.0)]
     if ref_x is not None:
         xs.append(tx(ref_x))
     xs = [v for v in xs if math.isfinite(v)]
@@ -156,12 +159,12 @@ def line_chart(series: list[Series], markers: list[Marker] = (), *, title: str,
         out.append(f'<line x1="{x:.1f}" y1="{_MARGIN_T}" x2="{x:.1f}" '
                    f'y2="{_MARGIN_T + plot_h}" stroke="#666" stroke-dasharray="6 4"/>')
 
-    for i, s in enumerate(series):
-        pts = " ".join(
-            f"{px(x):.2f},{py(y):.2f}"
-            for x, y in zip(s.xs, s.ys)
-            if math.isfinite(tx(x)) and math.isfinite(ty(y))
-        )
+    isfinite = math.isfinite
+    for i, (sx, sy) in enumerate(zip(series_xs, series_ys)):
+        # px and py of the transformed coordinates, the same arithmetic inline
+        pts = " ".join(["%.2f,%.2f" % (_MARGIN_L + (a / 2 - x_lo2) / x_span2 * plot_w,
+                                       _MARGIN_T + (y_hi2 - b / 2) / y_span2 * plot_h)
+                        for a, b in zip(sx, sy) if isfinite(a) and isfinite(b)])
         out.append(f'<polyline points="{pts}" fill="none" '
                    f'stroke="{_PALETTE[i % len(_PALETTE)]}" stroke-width="1.6"/>')
     for m in markers:

@@ -156,6 +156,17 @@ def test_usage_error_names_the_flag(argv, message, capsys):
     assert captured.err.endswith(f"error: {message}\n"), captured.err
 
 
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS, ids=[m for _, m in USAGE_ERRORS])
+def test_usage_error_shows_the_subcommand(argv, message, capsys):
+    """_validate's errors carry the subcommand's usage and prog, as
+    argparse's own errors for that subcommand do."""
+    with pytest.raises(SystemExit):
+        cli.main(list(argv))
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: bayesflip {argv[0]} [-h]"), err
+    assert err.endswith(f"\nbayesflip {argv[0]}: error: {message}\n"), err
+
+
 class TestNegativeNumbers:
     """A value in any float form after a flag is the flag's value: argparse
     alone takes only -5 and -.5 for numbers, and read -1e-05 as a flag."""
@@ -256,6 +267,17 @@ class TestSweepCommand:
             k = 5000.0 * float(r["scale"]) ** 2
             assert float(r["k"]) == pytest.approx(k, rel=1e-12)
             assert float(r["log_bf01"]) == pytest.approx(log_bf01(1.96, k), rel=1e-15)
+
+    @pytest.mark.parametrize("z", ["30", "-30", "26.642"])
+    def test_past_the_largest_finite_k_star(self, z):
+        """k* overflows a float above |z| ~ 26.6417: the sweep keeps its
+        point rows and has no flip row."""
+        cp = run_cli("sweep", "--z", z, "--n", "50", "--scale-min", "0.1",
+                     "--scale-max", "3", "--points", "50", "--format", "json")
+        assert cp.returncode == 0, cp.stderr
+        rows = json.loads(cp.stdout, parse_constant=_reject_constant)
+        assert [r["kind"] for r in rows] == ["point"] * 50
+        assert all(r["direction"] == "favours_h1" for r in rows)
 
     def test_small_z_has_no_flip_row(self):
         cp = run_cli("sweep", "--z", "0.5", "--n", "50", "--scale-min", "0.1",

@@ -415,3 +415,34 @@ class TestLambertRouteNearOne:
         fp = flip_point(z, FlipMethod.LAMBERT_W)
         assert fp.method is FlipMethod.BRACKETED
         assert abs(fp.k_star / mp_k_star(z) - 1) <= 1e-12
+
+
+class TestDefaultRoute:
+    """flip_point takes the Lambert-W closed form unless asked otherwise,
+    so every caller that needs only k* runs no root solve from |z| = 1.01."""
+
+    @pytest.mark.parametrize("z,route", [
+        *((z, FlipMethod.BRACKETED) for z in (1.0005, 1.005, 1.0099, -1.005)),
+        *((z, FlipMethod.LAMBERT_W) for z in (1.01, -1.01, 1.2, 2.0, -3.0, 26.6)),
+    ])
+    def test_route_taken(self, z, route):
+        assert flip_point(z).method is route
+
+    def test_matches_mpmath_over_the_finite_range(self):
+        for z in np.linspace(1.01, 26.6, 241):
+            z = float(z)
+            assert abs(flip_point(z).k_star / mp_k_star(z) - 1) <= 1e-13, z
+
+    @pytest.mark.parametrize("z", [1.01, 1.5, 2.0, -2.5, 4.0, 26.0])
+    def test_callers_run_no_root_solve(self, z, monkeypatch):
+        from bayesflip.report import figure_panel_a, sweep_flip_row, table_rows
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("find_root called")
+
+        monkeypatch.setattr(flip, "find_root", no_solve)
+        setup = TestSetup(n=50, z=z)
+        pair = reversal_pair(setup)
+        assert validate_pair(setup, pair.tau1, pair.tau2) == pair
+        assert sweep_flip_row(setup).k == flip_point(z).k_star
+        assert len(table_rows()) == 5 and len(figure_panel_a(2)) == 15

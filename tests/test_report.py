@@ -24,7 +24,8 @@ from bayesflip.report import (
     sweep_rows,
     table_rows,
 )
-from bayesflip.svg import Marker, Series, _nice_ticks, _padded, line_chart
+from bayesflip.svg import (_HEIGHT, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _WIDTH,
+                           Marker, Series, _nice_ticks, _padded, line_chart)
 
 DBL_MAX = sys.float_info.max
 
@@ -103,6 +104,16 @@ class TestSweep:
         assert row.k == pytest.approx(49.44, abs=0.01)
         assert row.scale == pytest.approx(0.99, abs=0.01)
         assert row.bf01 == 1.0 and row.direction is Direction.NEUTRAL
+
+    @pytest.mark.parametrize("z", [26.6418, 30.0, -40.0])
+    def test_no_flip_row_where_k_star_overflows(self, z):
+        setup = TestSetup(n=50, z=z)
+        assert sweep_flip_row(setup) is None
+        assert len(sweep_rows(setup, "normal", scale_grid(0.1, 3.0, 10))) == 10
+
+    def test_flip_row_up_to_the_largest_finite_k_star(self):
+        row = sweep_flip_row(TestSetup(n=50, z=-26.6417))
+        assert row.kind == ROW_FLIP and 1e308 < row.k < math.inf
 
     def test_large_sample_swing(self):
         """Across the four headline scales the factor swings 33-fold."""
@@ -284,3 +295,54 @@ def test_chart_draws_each_tick_label_once(bounds):
 def test_scale_grid_rejects_non_finite_bounds(lo, hi, spacing):
     with pytest.raises(DomainError, match="finite"):
         scale_grid(lo, hi, 10, spacing)
+
+
+def former_polylines(series, log_x, log_y):
+    """Each series' points= text by the former per-point formula, for a
+    chart with no markers and no ref_x."""
+    tx = (lambda v: math.log10(v)) if log_x else (lambda v: v)
+    ty = (lambda v: math.log10(v)) if log_y else (lambda v: v)
+    xs = [v for s in series for v in map(tx, s.xs) if math.isfinite(v)]
+    ys = [v for s in series for v in map(ty, s.ys) if math.isfinite(v)] + [ty(1.0)]
+    x_lo, x_hi = _padded(min(xs), max(xs), 0.04)
+    y_lo, y_hi = _padded(min(ys), max(ys), 0.06)
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
+    x_lo2, x_span2 = x_lo / 2, x_hi / 2 - x_lo / 2
+    y_hi2, y_span2 = y_hi / 2, y_hi / 2 - y_lo / 2
+
+    def px(v):
+        return _MARGIN_L + (tx(v) / 2 - x_lo2) / x_span2 * plot_w
+
+    def py(v):
+        return _MARGIN_T + (y_hi2 - ty(v) / 2) / y_span2 * plot_h
+
+    return [" ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(s.xs, s.ys)
+                     if math.isfinite(tx(x)) and math.isfinite(ty(y)))
+            for s in series]
+
+
+LINEAR_COORD = st.one_of(st.floats(-1e100, 1e100),
+                         st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]))
+LOG_COORD = st.one_of(st.floats(1e-100, 1e100), st.sampled_from([math.nan, math.inf]))
+
+
+@st.composite
+def charted_series(draw):
+    """(series, log_x, log_y): one to three series of up to 20 points,
+    finite and not, on linear or log axes, with at least one finite x."""
+    log_x, log_y = draw(st.booleans()), draw(st.booleans())
+    point = st.tuples(LOG_COORD if log_x else LINEAR_COORD, LOG_COORD if log_y else LINEAR_COORD)
+    series = [Series(f"s{i}", *(zip(*pts) if pts else ((), ())))
+              for i, pts in enumerate(draw(st.lists(st.lists(point, max_size=20),
+                                                    min_size=1, max_size=3)))]
+    assume(any(math.isfinite(x) for s in series for x in s.xs))
+    return series, log_x, log_y
+
+
+@given(charted_series())
+def test_polylines_match_the_per_point_formula(drawn):
+    series, log_x, log_y = drawn
+    chart = line_chart(series, title="t", x_label="x", log_x=log_x, log_y=log_y)
+    assert re.findall(r'<polyline points="([^"]*)"', chart) == former_polylines(
+        series, log_x, log_y)
