@@ -7,15 +7,27 @@ a change meant to alter output, regenerate the manifest with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
-and review the cases whose digests moved.
+and review the cases whose digests moved.  To see how they moved,
+
+    PYTHONPATH=src python tests/test_cli_golden.py --against REV
+
+runs every case on the git revision REV and on the working tree, each in
+its own subprocess, and prints a verdict per case: identical, numbers only
+(how many moved and the largest relative change), or text moved.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import math
+import os
+import re
+import subprocess
 import sys
+import tarfile
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -89,8 +101,9 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_case(argv: list[str]) -> dict:
-    """Run one CLI invocation in-process; its exit code and digests."""
+def capture_case(argv: list[str]) -> dict:
+    """Run one CLI invocation in-process; its exit code, stdout, stderr and
+    the files it wrote, as text."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         argv = [a.replace("OUT", str(work / "out")) for a in argv]
@@ -100,9 +113,16 @@ def run_case(argv: list[str]) -> dict:
                 code = main(argv)
             except SystemExit as exc:  # argparse usage errors
                 code = exc.code
-        files = {p.name: _sha(p.read_bytes()) for p in sorted(work.iterdir())}
-    return {"exit": code, "stdout": _sha(out.getvalue().encode()),
-            "stderr": _sha(err.getvalue().encode()), "files": files}
+        files = {p.name: p.read_bytes().decode() for p in sorted(work.iterdir())}
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(), "files": files}
+
+
+def run_case(argv: list[str]) -> dict:
+    """Run one CLI invocation in-process; its exit code and digests."""
+    c = capture_case(argv)
+    return {"exit": c["exit"], "stdout": _sha(c["stdout"].encode()),
+            "stderr": _sha(c["stderr"].encode()),
+            "files": {name: _sha(text.encode()) for name, text in c["files"].items()}}
 
 
 def test_manifest_covers_every_case():
@@ -114,7 +134,64 @@ def test_output_matches_manifest(name):
     assert run_case(CASES[name]) == json.loads(MANIFEST.read_text())[name]
 
 
-if __name__ == "__main__":
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _streams(c: dict) -> dict:
+    return {"exit": str(c["exit"]), "stdout": c["stdout"], "stderr": c["stderr"],
+            **{f"file {name}": text for name, text in c["files"].items()}}
+
+
+def verdict(old: dict, new: dict) -> str:
+    """How one case's output moved from ``old`` to ``new``: identical,
+    numbers only, or text moved (naming the first line that did)."""
+    if old == new:
+        return "identical"
+    a, b = _streams(old), _streams(new)
+    if a.keys() != b.keys():
+        return f"text moved: wrote {sorted(a)} -> {sorted(b)}"
+    for name in a:
+        lines = zip_longest(a[name].splitlines(), b[name].splitlines())
+        for i, (x, y) in enumerate(lines, 1):
+            if x is None or y is None or NUMBER.split(x) != NUMBER.split(y):
+                return f"text moved: {name} line {i}: {x!r} -> {y!r}"
+    moved = [(float(x), float(y)) for name in a
+             for x, y in zip(NUMBER.findall(a[name]), NUMBER.findall(b[name])) if x != y]
+    largest = max(abs(y - x) / abs(x) if x else math.inf for x, y in moved)
+    return f"numbers only: {len(moved)} moved, largest relative change {largest:.3g}"
+
+
+def capture_tree(src: Path) -> dict:
+    """Every case's output with the package imported from ``src``, in a
+    subprocess."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    cp = subprocess.run([sys.executable, __file__, "--capture"], env=env, check=True,
+                        capture_output=True, text=True)
+    return json.loads(cp.stdout)
+
+
+def diff_against(rev: str) -> None:
+    """Print each case's verdict from revision ``rev`` to the working tree."""
+    repo = Path(__file__).resolve().parents[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", str(repo), "archive", rev, "src"],
+                                 check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        old = capture_tree(Path(tmp) / "src")
+    new = capture_tree(repo / "src")
+    verdicts = {name: verdict(old[name], new[name]) for name in sorted(CASES)}
+    for name, v in verdicts.items():
+        print(f"{name}: {v}")
+    same = sum(v == "identical" for v in verdicts.values())
+    print(f"{same} of {len(verdicts)} cases identical against {rev}")
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--capture"]:
+    json.dump({name: capture_case(argv) for name, argv in CASES.items()}, sys.stdout)
+elif __name__ == "__main__" and sys.argv[1:2] == ["--against"] and len(sys.argv) == 3:
+    diff_against(sys.argv[2])
+elif __name__ == "__main__":
     manifest = {name: run_case(argv) for name, argv in sorted(CASES.items())}
     MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(manifest)} cases to {MANIFEST}", file=sys.stderr)
