@@ -2,11 +2,11 @@
 
 ``log_re_faddeeva`` is the hot kernel: the closed-form Voigt marginal
 behind every Cauchy-prior Bayes factor, flip-scale search and sweep.
-``lambert_w0`` serves the normal-prior flip point; ``bayesflip.numerics``
-exports it as is.
+``log_neg_w0`` is the principal branch of the Lambert W function in log
+space, behind the normal-prior flip point.
 
 ``log_re_faddeeva`` assumes domain-valid inputs (``bayesflip.cauchy``
-validates); ``lambert_w0`` checks its own domain and raises the package's
+validates); ``log_neg_w0`` checks its own domain and raises the package's
 exceptions.
 """
 
@@ -18,55 +18,54 @@ from .errors import DomainError, MaxIterExceeded
 _SQRT_PI = 1.7724538509055159
 _INV_SQRT_PI = 0.5641895835477563
 _LOG_SQRT_PI = 0.5723649429247
-_TINY = 1e-300
-# lambert_w0's least x: -1/e less a few ulps, tolerated (and giving -1)
-# for callers that computed -1/e themselves
-_W0_X_MIN = -math.exp(-1.0) - 4e-17
-_LAMBERT_REL_TOL = 1e-12
-# a residual |w e^w - x| this small relative to x is rounding: near -1/e,
-# where W0 is ill-conditioned, the step test may never be met
-_LAMBERT_RESIDUAL_TOL = 4e-16
-_LAMBERT_MAX_ITER = 200
+# expm1(x) - x comes from its Taylor series (``_expm1_excess``) where |x|
+# is below this, since the difference cancels there
+_EXCESS_SERIES_X = 0.25
+# a Newton step below 2^-27 relative leaves at most 2^-55 (the convergence
+# is quadratic, with constant at most 1/2 in relative terms)
+_W0_STEP_TOL = 2.0 ** -27
+_W0_MAX_STEPS = 8
 
 
-def lambert_w0(x: float) -> float:
-    """Principal branch W0 of w * exp(w) = x on [-1/e, inf); W0 >= -1.
+def _expm1_excess(x: float) -> float:
+    """expm1(x) - x for |x| < 1/4, by its Taylor series to x^13 / 13!
+    (the first omitted term is below 2e-18 relative)."""
+    return x * x * (1 / 2 + x * (1 / 6 + x * (1 / 24 + x * (1 / 120 + x * (1 / 720 + x * (
+        1 / 5040 + x * (1 / 40320 + x * (1 / 362880 + x * (1 / 3628800 + x * (
+            1 / 39916800 + x * (1 / 479001600 + x / 6227020800)))))))))))
 
-    Initial guess from the branch-point series near -1/e and the log-log
-    asymptote for large x, refined by Halley iteration until its step is
-    below 1e-12 relative or the residual w e^w - x is at rounding level
-    (4e-16 relative to x).  Raises DomainError for x below -1/e, infinite
-    or nan, MaxIterExceeded past 200 iterations.
+
+def log_neg_w0(d: float) -> float:
+    """log(-W0(x)) for x = -exp(-1 - d), i.e. for log(-x) a distance d >= 0
+    below log(1/e); W0 >= -1 is the principal branch of w e^w = x.
+
+    Taking the argument as d keeps every digit near the branch point
+    x = -1/e (d = 0, W0 = -1), where x itself would round them away, and
+    never underflows for tiny -x.  With l = log(-W0), w e^w = x reads
+    expm1(l) - l = d, whose root l <= 0 is found by Newton's method from
+    -sqrt(2d) - d/3 below d = 1 (the branch-point series; Corless et al.,
+    Adv. Comput. Math. 5:329, 1996, sec. 4) and from -1 - d (the
+    asymptote) above it; expm1(l) - l comes from its own series where
+    |l| < 1/4.  The iterates approach the root from below after the first
+    step and stop once a step is under 2^-27 relative: at most 4 steps
+    over [5e-324, 1e300], within 4.2e-16 of mpmath.  Raises DomainError
+    for a negative, infinite or nan d, MaxIterExceeded past 8 steps.
     """
-    if not _W0_X_MIN <= x < math.inf:  # nan fails too
-        raise DomainError(f"lambert_w0 domain is [-1/e, inf); got {x}")
-    if x == 0.0:
-        return 0.0
-    q = math.e * x + 1.0  # vanishes at the branch point, negative below it
-    if q <= 0.0:
-        return -1.0
-    if x < -0.25:
-        p = math.sqrt(2.0 * q)
-        w = -1.0 + p - p * p / 3.0 + 11.0 * p * p * p / 72.0
-    elif x < 3.0:
-        w = x / (1.0 + x)
+    if not 0.0 <= d < math.inf:  # nan fails too
+        raise DomainError(f"log_neg_w0 domain is 0 <= d < inf; got d = {d}")
+    if d < 1.0:
+        ell = -math.sqrt(2.0 * d) - d / 3.0
+        if d < 1e-16:  # the start, off by about d / 18 relative, is exact
+            return ell
     else:
-        l1 = math.log(x)
-        l2 = math.log(l1)
-        w = l1 - l2 + l2 / l1
-    for _ in range(_LAMBERT_MAX_ITER):
-        ew = math.exp(w)
-        f = w * ew - x
-        if abs(f) <= _LAMBERT_RESIDUAL_TOL * abs(x):
-            return w
-        wp1 = w + 1.0
-        if wp1 == 0.0:
-            wp1 = _TINY
-        dw = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-        w -= dw
-        if abs(dw) <= _LAMBERT_REL_TOL * (abs(w) + _TINY):
-            return w
-    raise MaxIterExceeded("Lambert W iteration did not converge")
+        ell = -1.0 - d
+    for _ in range(_W0_MAX_STEPS):
+        em1 = math.expm1(ell)
+        step = ((em1 - ell if ell <= -_EXCESS_SERIES_X else _expm1_excess(ell)) - d) / em1
+        ell -= step
+        if abs(step) <= _W0_STEP_TOL * -ell:
+            return ell
+    raise MaxIterExceeded(f"log_neg_w0 did not converge at d = {d}")
 
 
 # Weideman (1994, SIAM J. Numer. Anal. 31:1497) rational approximation of

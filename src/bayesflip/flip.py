@@ -22,7 +22,8 @@ from ._record import record
 from .bayes_factor import (_DBL_MAX, _LOG_DBL_MAX, NEUTRAL_LOG_BAND, Direction, NormalPrior,
                            TestSetup, _check_sample_size, bf01, bf_argmin_k)
 from .errors import ConvergenceError, DomainError, NoFlipPoint, NotAReversal
-from .numerics import find_root, lambert_w0
+from ._kernels import _EXCESS_SERIES_X, _expm1_excess, log_neg_w0
+from .numerics import find_root
 
 __all__ = [
     "FlipMethod",
@@ -41,11 +42,6 @@ class FlipMethod(Enum):
     BRACKETED = "bracketed"
     LAMBERT_W = "lambert_w"
 
-
-# Below this |z| the Lambert argument -z^2 exp(-z^2) sits so close to the
-# branch point -1/e that W0 loses precision (k* off by 1.7e-11 relative at
-# z = 1.001, 6e-14 at 1.01); use the bracketed solve.
-_LAMBERT_SAFE_Z = 1.01
 
 # |(1+k*) log(1+k*) - z^2 k*| must stay within this times z^2 * k*.
 _RESIDUAL_BOUND = 1e-9
@@ -127,17 +123,17 @@ def flip_point(z: float, method: FlipMethod = FlipMethod.LAMBERT_W) -> FlipPoint
     """The unique k* > z^2 - 1 with BF01(z; k*) = 1; requires |z| > 1.
 
     The default, LAMBERT_W, is the closed form and the more accurate route
-    (within 6.4e-14 of 50-digit k* over 1.01 <= |z| <= 26.6, where the
-    bracketed route is within 2.5e-13); BRACKETED is the independent second
+    (within 7e-14 of 50-digit k* over 1 + 1e-7 <= |z| <= 26.6, where the
+    bracketed route is within 2.6e-13); BRACKETED is the independent second
     route.  BRACKETED solves phi(k) - 1 = z^2 - 1, the flip equation
     (1+k) log(1+k) = z^2 k divided by k, with both sides formed so they stay
     accurate as z -> 1 (the solve phi_inverse shares).  LAMBERT_W evaluates
     exp(W0(-z^2 e^{-z^2}) + z^2) - 1; the principal branch picks out the
-    nontrivial root (W-1 only recovers k = 0).  For 1 < |z| < 1.01, where
-    the Lambert argument nears the branch point -1/e and the route misses
-    rel_tol 1e-12, the bracketed route is used regardless of the requested
-    method.  Both routes raise DomainError where k* is not a finite float,
-    |z| above about 26.64, and for a non-finite z.
+    nontrivial root (W-1 only recovers k = 0).  It takes W0 from the
+    distance of log(z^2 e^{-z^2}) below the branch point's -1,
+    d = t - log1p(t) with t = z^2 - 1, which it knows to every digit however
+    close |z| is to 1.  Both routes raise DomainError where k* is not a
+    finite float, |z| above about 26.64, and for a non-finite z.
     """
     if not math.isfinite(z):
         raise DomainError(f"z-statistic must be finite, got z = {z}")
@@ -148,15 +144,19 @@ def flip_point(z: float, method: FlipMethod = FlipMethod.LAMBERT_W) -> FlipPoint
         )
     z2 = z * z
     z2m1 = (a - 1.0) * (a + 1.0)  # z^2 - 1 without cancellation near |z| = 1
-    used = method
-    if method is FlipMethod.LAMBERT_W and a >= _LAMBERT_SAFE_Z:
-        # log(1 + k*) = z^2 + W0(-z^2 e^{-z^2}), and |W0| < 1e-300 wherever
-        # z^2 is near log(DBL_MAX), so testing z^2 alone decides the same
+    if method is FlipMethod.LAMBERT_W:
+        # With W0 at x = -z^2 e^{-z^2} and l = log(-W0), log(1 + k*) = z^2 + W0
+        # = t - expm1(l) for t = z^2 - 1, and log(-x) lies d = t - log1p(t)
+        # below the branch point's -1 (from the series of expm1(v) - v,
+        # v = log1p(t), where that cancels).  |W0| < 1e-300 wherever z^2 is
+        # near log(DBL_MAX), so testing z^2 alone decides the overflow.
         if z2 > _LOG_DBL_MAX:
             raise _no_finite_k_star(z)
-        k_star = math.expm1(lambert_w0(-z2 * math.exp(-z2)) + z2)
+        v = math.log1p(z2m1)
+        ell = log_neg_w0(z2m1 - v if v >= _EXCESS_SERIES_X else _expm1_excess(v))
+        k_star = math.expm1(z2m1 - math.expm1(ell))
     else:
-        used = FlipMethod.BRACKETED
+        method = FlipMethod.BRACKETED  # any value but LAMBERT_W runs this route
         k_star = _solve_phi(z2m1)
         if k_star is None:
             raise _no_finite_k_star(z)
@@ -167,7 +167,7 @@ def flip_point(z: float, method: FlipMethod = FlipMethod.LAMBERT_W) -> FlipPoint
         raise ConvergenceError(
             f"flip point failed validation: k* = {k_star}, residual = {residual}"
         )
-    return FlipPointResult(k_star=k_star, residual=residual, method=used, z=z)
+    return FlipPointResult(k_star=k_star, residual=residual, method=method, z=z)
 
 
 def tau_star(k_star: float, n: int) -> float:

@@ -1,5 +1,4 @@
-"""Self-contained numerical layer: Brent's bracketed root finding and the
-principal branch of the Lambert W function (the kernel in ``_kernels``).
+"""Self-contained numerical layer: Brent's bracketed root finding.
 
 Everything here is a pure function of its inputs and safe to call from
 multiple threads.
@@ -9,10 +8,9 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from ._kernels import lambert_w0
 from .errors import DomainError, MaxIterExceeded, NoSignChange
 
-__all__ = ["find_root", "lambert_w0"]
+__all__ = ["find_root"]
 
 # find_root's relative tolerance and iteration cap
 _REL_TOL = 1e-12

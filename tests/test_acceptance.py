@@ -113,12 +113,15 @@ def test_criterion_4_cauchy_experiments():
 
 def test_criterion_5_oracle_equivalence():
     """Independent routes agree: bracketed vs Lambert-W flip points to
-    1e-9 relative, and scipy quadrature vs the closed form to 1e-8
-    relative on a 50-triple grid."""
+    1e-9 relative, each route really run, down to |z| = 1 + 1e-7, and
+    scipy quadrature vs the closed form to 1e-8 relative on a 50-triple
+    grid."""
     worst_flip = 0.0
-    for z in Z_GRID:
-        b = flip_point(z, FlipMethod.BRACKETED).k_star
-        l = flip_point(z, FlipMethod.LAMBERT_W).k_star
+    for z in (1.0000001, 1.0005, 1.001, 1.005, 1.0099, -1.005, *Z_GRID):
+        bfp = flip_point(z, FlipMethod.BRACKETED)
+        lfp = flip_point(z, FlipMethod.LAMBERT_W)
+        assert (bfp.method, lfp.method) == (FlipMethod.BRACKETED, FlipMethod.LAMBERT_W)
+        b, l = bfp.k_star, lfp.k_star
         rel = abs(b - l) / b
         worst_flip = max(worst_flip, rel)
         assert rel <= 1e-9

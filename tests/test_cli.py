@@ -128,6 +128,12 @@ class TestFlipCommand:
             assert r["tau_star"] == pytest.approx(0.99, abs=0.01)
         assert rows[0]["k_star"] == pytest.approx(rows[1]["k_star"], rel=1e-9)
 
+    @pytest.mark.parametrize("z", ["1.005", "-1.0005"])
+    def test_lambert_route_near_one_names_itself(self, z):
+        cp = run_cli("flip", "--z", z, "--method", "lambert_w", "--format", "csv")
+        assert cp.returncode == 0
+        assert [r["method"] for r in parse_csv(cp.stdout)] == ["lambert_w"]
+
 
 SWEEP = ("sweep", "--z", "2", "--n", "50")
 # argv, and the message _validate gives for it

@@ -130,9 +130,9 @@ class TestFlipPoint:
         for z in Z_GRID:
             assert phi_inverse(z * z) == pytest.approx(flip_point(z).k_star, rel=1e-9)
 
-    def test_near_boundary_falls_back_to_bracketed(self):
+    def test_near_boundary_keeps_the_lambert_route(self):
         fp = flip_point(1.0005, FlipMethod.LAMBERT_W)
-        assert fp.method is FlipMethod.BRACKETED
+        assert fp.method is FlipMethod.LAMBERT_W
         assert fp.k_star > 0.0
 
     def test_method_echo(self):
@@ -405,35 +405,48 @@ class TestPhiOverItsWholeDomain:
 
 class TestLambertRouteNearOne:
     def test_accuracy_from_its_threshold(self):
-        for z in np.linspace(1.01, 1.05, 20):
-            fp = flip_point(float(z), FlipMethod.LAMBERT_W)
-            assert fp.method is FlipMethod.LAMBERT_W
-            assert abs(fp.k_star / mp_k_star(float(z)) - 1) <= 1e-12, z
+        """|z| - 1 log-spaced over (1e-7, 0.05], both signs: the route knows
+        the distance below W0's branch point to every digit."""
+        for dz in np.logspace(-7.0, math.log10(0.05), 141)[1:]:
+            for z in (1.0 + float(dz), -1.0 - float(dz)):
+                fp = flip_point(z, FlipMethod.LAMBERT_W)
+                assert fp.method is FlipMethod.LAMBERT_W
+                assert abs(fp.k_star / mp_k_star(z) - 1) <= 1e-13, z
 
     @pytest.mark.parametrize("z", [1.001, 1.005, 1.0099, -1.005])
     def test_bracketed_below_its_threshold(self, z):
-        fp = flip_point(z, FlipMethod.LAMBERT_W)
+        """The bracketed route, the independent second one, below 1.01."""
+        fp = flip_point(z, FlipMethod.BRACKETED)
         assert fp.method is FlipMethod.BRACKETED
         assert abs(fp.k_star / mp_k_star(z) - 1) <= 1e-12
 
 
 class TestDefaultRoute:
     """flip_point takes the Lambert-W closed form unless asked otherwise,
-    so every caller that needs only k* runs no root solve from |z| = 1.01."""
+    so no caller that needs only k* runs a root solve, for any |z| > 1."""
 
     @pytest.mark.parametrize("z,route", [
-        *((z, FlipMethod.BRACKETED) for z in (1.0005, 1.005, 1.0099, -1.005)),
-        *((z, FlipMethod.LAMBERT_W) for z in (1.01, -1.01, 1.2, 2.0, -3.0, 26.6)),
+        (z, FlipMethod.LAMBERT_W)
+        for z in (1.0005, 1.005, 1.0099, -1.005, 1.01, -1.01, 1.2, 2.0, -3.0, 26.6)
     ])
     def test_route_taken(self, z, route):
         assert flip_point(z).method is route
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(1.0, 26.6, exclude_min=True), sign=st.sampled_from((1, -1)))
+    def test_lambert_route_for_every_z_above_one(self, a, sign):
+        """Down to the float next to 1, where k* ~ 4.4e-16."""
+        l = flip_point(sign * a, FlipMethod.LAMBERT_W)
+        assert l.method is FlipMethod.LAMBERT_W
+        assert l.k_star == pytest.approx(flip_point(sign * a, FlipMethod.BRACKETED).k_star,
+                                         rel=1e-9)
 
     def test_matches_mpmath_over_the_finite_range(self):
         for z in np.linspace(1.01, 26.6, 241):
             z = float(z)
             assert abs(flip_point(z).k_star / mp_k_star(z) - 1) <= 1e-13, z
 
-    @pytest.mark.parametrize("z", [1.01, 1.5, 2.0, -2.5, 4.0, 26.0])
+    @pytest.mark.parametrize("z", [1.0005, 1.005, 1.01, 1.5, 2.0, -2.5, 4.0, 26.0])
     def test_callers_run_no_root_solve(self, z, monkeypatch):
         from bayesflip.report import figure_panel_a, sweep_flip_row, table_rows
 

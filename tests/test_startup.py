@@ -96,9 +96,10 @@ def test_find_root_takes_the_bracket_and_one_tolerance():
     assert params["abs_tol"].default == 1e-14
 
 
-# pass-through records, knobs and helpers that nothing ran
+# pass-through records, knobs and helpers that nothing ran, and the x-form
+# Lambert W0 that the log-space kernel replaced
 REMOVED = ("RunConfig", "Bracket", "SolverConfig", "DEFAULT_CONFIG", "log_std_normal_pdf",
-           "std_normal_pdf", "std_normal_cdf")
+           "std_normal_pdf", "std_normal_cdf", "lambert_w0")
 
 
 def test_removed_wrappers_stay_removed():
@@ -119,14 +120,14 @@ def test_lazy_exports_are_in_module_all():
 
 def test_kernels_are_one_module():
     """perfbench/tracer.py counts calls into modules named bayesflip._kernels
-    as its ``kernels`` layer; numerics exports the kernel's Lambert W
-    itself, not a wrapper around it."""
-    from bayesflip import _kernels, numerics
+    as its ``kernels`` layer; flip calls the kernel's log-space W0 itself,
+    not a wrapper around it."""
+    from bayesflip import _kernels, flip
 
     assert not hasattr(_kernels, "__path__")
-    for fn in (_kernels.lambert_w0, _kernels.log_re_faddeeva):
+    for fn in (_kernels.log_neg_w0, _kernels.log_re_faddeeva):
         assert fn.__module__ == "bayesflip._kernels"
-    assert numerics.lambert_w0 is _kernels.lambert_w0
+    assert flip.log_neg_w0 is _kernels.log_neg_w0
 
 
 def test_runtime_is_stdlib_only():
