@@ -37,8 +37,8 @@ _LOG_SQRT_PI_OVER_2 = -_LOG_SQRT_2_OVER_PI
 # 1e10 on the correction is below 5e-19: gamma_a is gamma* in double
 # precision.
 _LOG_GAMMA_ASYMPTOTIC = math.log(1e10)
-_MAX_BRACKET_STEPS = 64
-_MIN_CRIT_GAP = 1e-5  # below this |z| - Z_CRIT, r* is off by over 3e-7 relative
+_MIN_CRIT_GAP = 4e-5  # below this |z| - Z_CRIT, r* is lost to rounding by over 2e-7
+_S_HI = 1e-12  # the flip-scale bracket's upper end in s: log BF01 >= 9.9e-13 there
 _BAD_SCALE = "Cauchy scale must be positive and finite, got {}"
 
 
@@ -89,19 +89,25 @@ def cauchy_flip_scale(setup: TestSetup) -> float:
     """The Cauchy scale r* at which BF01 crosses 1 from below as r grows.
 
     Solves log BF01 = 0 for gamma* = sqrt(n)*r* in s = log(gamma /
-    gamma_a), where gamma_a = sqrt(2/pi) exp(z^2/2) is the large-gamma
-    asymptote of gamma*.  log BF01 > 0 at gamma_a (Re w < 1/(sqrt(pi) y)
-    for every y), and below gamma* it is negative down to gamma -> 0, so
-    stepping s down from 0 by 1 brackets the root.  From gamma_a = 1e10 on,
-    gamma_a is gamma* to double precision and is returned as is.
+    gamma_a), gamma_a = sqrt(2/pi) exp(z^2/2) the large-gamma asymptote of
+    gamma*, by one Brent solve on gamma_a (1 - e) < gamma* < gamma_a,
+    e = exp(-2 (|z| - Z_CRIT)).  The upper end is proved (Re w <
+    1/(sqrt(pi) y) for every y), but log BF01 there, ~(z^2 + 1)/gamma_a^2,
+    sinks under its rounding from |z| ~ 6.1 on, so the solve stops at
+    s = 1e-12 instead.  The lower end is measured: gamma*/gamma_a ~ 2.16
+    (|z| - Z_CRIT) near Z_CRIT against 1 - e ~ 2 (|z| - Z_CRIT), and tends
+    to 1 faster than 1 - e; log BF01 is at most -6.4e-10 there from the
+    floor to gamma_a = 1e10, where gamma_a becomes gamma* to double
+    precision and is returned as is.
 
-    Just above Z_CRIT log BF01 dips below 0 only by ~(|z| - Z_CRIT)^2, so
-    the relative error of r* is about (1-3)e-17 / (|z| - Z_CRIT)^2: 1e-9
-    at a gap |z| - Z_CRIT of 1e-4, 2.5e-7 at 1e-5, and below 1e-10 from
-    |z| = 1.3072 on.
+    Near Z_CRIT log BF01 dips below 0 only by ~(|z| - Z_CRIT)^2, and its
+    float sign changes over a band around the root: up to 2.1e-7 relative
+    at gaps |z| - Z_CRIT below 3.6e-5, at most 1.8e-7 from the floor 4e-5
+    on (50-digit scans).  So r* is within 2e-7 from the floor, 1.1e-8 from
+    a gap of 1e-4, 1e-10 from 1e-3 and 2e-12 from 1e-2.
 
     Raises NoFlipPoint for |z| <= Z_CRIT, where BF01 >= 1 at every r;
-    ConvergenceError for 0 < |z| - Z_CRIT < 1e-5; DomainError when r*
+    ConvergenceError for 0 < |z| - Z_CRIT < 4e-5; DomainError when r*
     overflows a float.
     """
     z = abs(setup.z)
@@ -115,24 +121,9 @@ def cauchy_flip_scale(setup: TestSetup) -> float:
     log_gamma = log_gamma_a
     if log_gamma_a < _LOG_GAMMA_ASYMPTOTIC:
         gamma_a = math.exp(log_gamma_a)
-
-        def g(s: float) -> float:
-            return _log_bf01(z, 1, gamma_a * math.exp(s))  # gamma = r at n = 1
-
-        lo = 0.0
-        known = {lo: g(lo)}  # g at the points the bracket search tried
-        while not known[lo] < 0.0:
-            lo -= 1.0
-            if lo < -_MAX_BRACKET_STEPS:
-                raise ConvergenceError(
-                    f"log BF01 does not resolve below 0 for |z| = {z}, too close to {Z_CRIT}")
-            known[lo] = g(lo)
-
-        def f(s: float) -> float:
-            v = known.pop(s, None)  # Brent starts at the bracket ends
-            return g(s) if v is None else v
-
-        log_gamma += find_root(f, lo, lo + 1.0)
+        s_lo = math.log1p(-math.exp(-2.0 * (z - Z_CRIT)))
+        # gamma = r at n = 1
+        log_gamma += find_root(lambda s: _log_bf01(z, 1, gamma_a * math.exp(s)), s_lo, _S_HI)
     log_r = log_gamma - 0.5 * math.log(setup.n)
     if log_r > _LOG_DBL_MAX:
         raise DomainError(

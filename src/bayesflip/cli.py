@@ -30,6 +30,8 @@ from ._record import record
 from .bayes_factor import Direction, NormalPrior, TestSetup, bf01, posterior_prob_h0
 from .errors import BayesFlipError
 
+_MAX_POINTS = 10_000  # rows are held in memory: figure1 JSON peaks at 63 MB RSS here
+
 _DIRECTION_TEXT = {
     Direction.FAVOURS_H1: "favours H1",
     Direction.NEUTRAL: "neutral",
@@ -136,6 +138,9 @@ def _validate(args: argparse.Namespace) -> None:
         parser.error("--scale must be > 0")
     if "spread" in params and not 0.0 < params["spread"] < 1.0:
         parser.error("--spread must lie in (0, 1)")
+    for key in ("points", "points_a", "points_b"):
+        if params.get(key, 0) > _MAX_POINTS:
+            parser.error(f"--{key.replace('_', '-')} must be <= {_MAX_POINTS}, got {params[key]}")
     if args.command == "sweep":
         if not params["scale_min"] < params["scale_max"]:
             parser.error("--scale-min must be below --scale-max")

@@ -133,7 +133,8 @@ def flip_point(z: float, method: FlipMethod = FlipMethod.LAMBERT_W) -> FlipPoint
     distance of log(z^2 e^{-z^2}) below the branch point's -1,
     d = t - log1p(t) with t = z^2 - 1, which it knows to every digit however
     close |z| is to 1.  Both routes raise DomainError where k* is not a
-    finite float, |z| above about 26.64, and for a non-finite z.
+    finite float, |z| above about 26.64, and for a non-finite z; a method
+    that is not a FlipMethod member is a DomainError too.
     """
     if not math.isfinite(z):
         raise DomainError(f"z-statistic must be finite, got z = {z}")
@@ -155,11 +156,12 @@ def flip_point(z: float, method: FlipMethod = FlipMethod.LAMBERT_W) -> FlipPoint
         v = math.log1p(z2m1)
         ell = log_neg_w0(z2m1 - v if v >= _EXCESS_SERIES_X else _expm1_excess(v))
         k_star = math.expm1(z2m1 - math.expm1(ell))
-    else:
-        method = FlipMethod.BRACKETED  # any value but LAMBERT_W runs this route
+    elif method is FlipMethod.BRACKETED:
         k_star = _solve_phi(z2m1)
         if k_star is None:
             raise _no_finite_k_star(z)
+    else:
+        raise DomainError(f"method must be a FlipMethod, got {method!r}")
     # (1+k) log(1+k) - z^2 k = k (phi(k) - z^2), formed so it cannot overflow
     gap = _phi_minus_one(k_star) - z2m1
     residual = k_star * gap

@@ -149,6 +149,10 @@ USAGE_ERRORS = [
      "--scale-min must be below --scale-max"),
     (("figure1", "--points-a", "1"), "--points-a and --points-b must be >= 2"),
     (("figure1", "--format", "svg"), "figure1 --format svg needs --out (two documents)"),
+    ((*SWEEP, "--scale-min", "1", "--scale-max", "2", "--points", "10001"),
+     "--points must be <= 10000, got 10001"),
+    (("figure1", "--points-a", "10001"), "--points-a must be <= 10000, got 10001"),
+    (("figure1", "--points-b", "10000000"), "--points-b must be <= 10000, got 10000000"),
 ]
 
 
@@ -171,6 +175,20 @@ def test_usage_error_shows_the_subcommand(argv, message, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"usage: bayesflip {argv[0]} [-h]"), err
     assert err.endswith(f"\nbayesflip {argv[0]}: error: {message}\n"), err
+
+
+def test_points_over_the_limit_build_no_row(monkeypatch, capsys):
+    from bayesflip import report
+
+    def build(*args):
+        raise AssertionError("rows built for a usage error")
+
+    monkeypatch.setattr(report, "scale_grid", build)
+    monkeypatch.setattr(report, "sweep_rows", build)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*SWEEP, "--scale-min", "0.1", "--scale-max", "3", "--points", "10000000"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: --points must be <= 10000, got 10000000\n")
 
 
 class TestNegativeNumbers:

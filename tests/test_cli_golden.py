@@ -94,6 +94,7 @@ CASES = {
     "error-paradox-no-flip": ["paradox", "--z", "0.9", "--n", "50"],
     "error-flip-overflow": ["flip", "--z", "30"],
     "error-usage-scale": [*BF, "--scale", "0"],
+    "error-usage-points": [*SWEEP, "--points", "10001"],
 }
 
 

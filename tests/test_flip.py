@@ -139,6 +139,11 @@ class TestFlipPoint:
         assert flip_point(1.2, FlipMethod.LAMBERT_W).method is FlipMethod.LAMBERT_W
         assert flip_point(1.2, FlipMethod.BRACKETED).method is FlipMethod.BRACKETED
 
+    @pytest.mark.parametrize("method", ["lambert_w", "bracketed", None, 0])
+    def test_method_must_be_a_member(self, method):
+        with pytest.raises(DomainError, match=re.escape(f"got {method!r}")):
+            flip_point(2.0, method)
+
 
 class TestTauStar:
     def test_reference_values(self):

@@ -180,19 +180,23 @@ class TestFlipScale:
         with pytest.raises(NoFlipPoint):
             cauchy_flip_scale(TestSetup(n=50, z=z))
 
-    @pytest.mark.parametrize("z", [Z_CRIT + 1e-8, Z_CRIT + 1e-6, -(Z_CRIT + 1e-8),
-                                   -(Z_CRIT + 1e-6)])
+    @pytest.mark.parametrize("z", [Z_CRIT + 1e-8, Z_CRIT + 1e-6, Z_CRIT + 3.9e-5,
+                                   -(Z_CRIT + 1e-8), -(Z_CRIT + 1e-6)])
     def test_too_close_above_critical_z_raises(self, z):
-        """There the bracketed root is off by 1.4e-5 (1e-6 above) to 0.66
-        (1e-8 above) relative, from rounding in log BF01."""
-        with pytest.raises(ConvergenceError, match=r"z = -?1\.3069.*below 1e-05"):
+        """Below the 4e-5 floor, float log BF01 changes sign over more than
+        2e-7 relative around the root (over 4.3e-6 at a gap of 1e-5)."""
+        with pytest.raises(ConvergenceError, match=r"z = -?1\.3069.*below 4e-05"):
             cauchy_flip_scale(TestSetup(n=1, z=z))
 
-    @pytest.mark.parametrize("gap", [1e-5, 1e-4])
-    def test_from_the_gap_on_against_mpmath_root(self, gap):
-        want = float(mpmath.exp(mp_log_gamma_star(Z_CRIT + gap)))
-        for z in (Z_CRIT + gap, -(Z_CRIT + gap)):
-            assert cauchy_flip_scale(TestSetup(n=1, z=z)) == pytest.approx(want, rel=3e-7)
+    def test_from_the_gap_on_against_mpmath_root(self):
+        """40 log-spaced gaps |z| - Z_CRIT from the floor to 1e-4, where the
+        float root is least accurate."""
+        floor = cauchy._MIN_CRIT_GAP
+        for i in range(40):
+            gap = floor * (1e-4 / floor) ** (i / 39)
+            want = float(mpmath.exp(mp_log_gamma_star(Z_CRIT + gap)))
+            for z in (Z_CRIT + gap, -(Z_CRIT + gap)):
+                assert cauchy_flip_scale(TestSetup(n=1, z=z)) == pytest.approx(want, rel=3e-7), gap
 
     def test_critical_z_is_where_the_slope_at_zero_changes_sign(self):
         """Z_CRIT = sqrt(2) x0 with 2 x0 F(x0) = 1, F Dawson's function."""
@@ -202,8 +206,8 @@ class TestFlipScale:
             assert Z_CRIT == pytest.approx(float(mpmath.sqrt(2) * x0), rel=1e-15)
 
     def test_kernel_is_never_evaluated_twice_at_one_point(self, monkeypatch):
-        """Brent starts at the bracket ends, which the bracket search has
-        already evaluated."""
+        """The solve is one Brent run on a bracket known before any
+        evaluation, and Brent never evaluates a point twice."""
         seen = []
 
         def recording(x, y):
@@ -216,6 +220,48 @@ class TestFlipScale:
                 seen.clear()
                 cauchy_flip_scale(TestSetup(n=n, z=z))
                 assert len(set(seen)) == len(seen), (z, n)
+
+    # |z| where gamma_a = sqrt(2/pi) exp(z^2/2) reaches 1e10, the shortcut
+    Z_ASYMPTOTIC = math.sqrt(2.0 * math.log(1e10) - math.log(2.0 / math.pi))
+
+    def test_bracket_changes_sign(self):
+        """log BF01 < 0 at gamma_a (1 - exp(-2 (|z| - Z_CRIT))) and > 0 just
+        above gamma_a, for 30,000 z from the floor to gamma_a = 1e10."""
+        floor, top = cauchy._MIN_CRIT_GAP, self.Z_ASYMPTOTIC - Z_CRIT
+        gaps = floor * (top / floor) ** np.linspace(0.0, 1.0, 20_000, endpoint=False)
+        zs = [*(Z_CRIT + gaps), *np.linspace(1.5, self.Z_ASYMPTOTIC, 10_000, endpoint=False)]
+        for z in map(float, zs):
+            gamma_a = math.exp(0.5 * z * z + 0.5 * math.log(2.0 / math.pi))
+            s_lo = math.log1p(-math.exp(-2.0 * (z - Z_CRIT)))
+            assert cauchy._log_bf01(z, 1, gamma_a * math.exp(s_lo)) < 0.0, z
+            assert cauchy._log_bf01(z, 1, gamma_a * math.exp(cauchy._S_HI)) > 0.0, z
+
+    def test_solves_where_log_bf01_at_gamma_a_rounds_below_zero(self):
+        """From |z| ~ 6.1 to the shortcut, log BF01 at gamma_a is under its
+        rounding: a bracket ending at gamma_a itself found no sign change
+        for about one z in 45 there."""
+        for z in np.linspace(6.1, self.Z_ASYMPTOTIC, 2_000, endpoint=False):
+            gamma_a = math.sqrt(2.0 / math.pi) * math.exp(0.5 * z * z)
+            assert cauchy_flip_scale(TestSetup(n=1, z=float(z))) == pytest.approx(gamma_a, rel=1e-13)
+
+    def test_kernel_calls_no_more_than_the_bracket_walk(self, monkeypatch):
+        """Kernel calls over the 41 flip-phase z of perfbench's lattice and
+        over 80 log-spaced gaps in [4e-5, 1e-3): the unit-step bracket walk
+        it replaced made 259 and 1,704."""
+        calls = 0
+
+        def counting(x, y):
+            nonlocal calls
+            calls += 1
+            return _kernels.log_re_faddeeva(x, y)
+
+        monkeypatch.setattr(cauchy, "log_re_faddeeva", counting)
+        for zs, walk in (([1.5 + i / 16 for i in range(41)], 259),
+                         ([Z_CRIT + 4e-5 * 25.0 ** (i / 80) for i in range(80)], 1_704)):
+            calls = 0
+            for z in zs:
+                cauchy_flip_scale(TestSetup(n=1, z=z))
+            assert calls <= walk, (calls, walk)
 
     def test_overflowing_flip_scale_is_a_domain_error(self):
         with pytest.raises(DomainError):
