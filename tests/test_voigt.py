@@ -188,15 +188,22 @@ class TestFlipScale:
         with pytest.raises(ConvergenceError, match=r"z = -?1\.3069.*below 4e-05"):
             cauchy_flip_scale(TestSetup(n=1, z=z))
 
-    def test_from_the_gap_on_against_mpmath_root(self):
-        """40 log-spaced gaps |z| - Z_CRIT from the floor to 1e-4, where the
-        float root is least accurate."""
+    @pytest.mark.parametrize("gap", [1e-5, 1e-4])
+    def test_from_the_gap_on_against_mpmath_root(self, gap):
+        """100 log-spaced gaps |z| - Z_CRIT over the decade from `gap`, and
+        the floor if it falls there, where the float root is least accurate:
+        below the floor the flip scale raises, from it on (41 gaps to 1e-4)
+        it is within 3e-7 of the 50-digit root."""
         floor = cauchy._MIN_CRIT_GAP
-        for i in range(40):
-            gap = floor * (1e-4 / floor) ** (i / 39)
-            want = float(mpmath.exp(mp_log_gamma_star(Z_CRIT + gap)))
-            for z in (Z_CRIT + gap, -(Z_CRIT + gap)):
-                assert cauchy_flip_scale(TestSetup(n=1, z=z)) == pytest.approx(want, rel=3e-7), gap
+        grid = [*gap * 10.0 ** np.linspace(0.0, 1.0, 100), floor]
+        for g in (float(g) for g in grid if gap <= g <= 10.0 * gap):
+            for z in (Z_CRIT + g, -(Z_CRIT + g)):
+                if g < floor:
+                    with pytest.raises(ConvergenceError, match="below 4e-05"):
+                        cauchy_flip_scale(TestSetup(n=1, z=z))
+                else:
+                    want = float(mpmath.exp(mp_log_gamma_star(Z_CRIT + g)))
+                    assert cauchy_flip_scale(TestSetup(n=1, z=z)) == pytest.approx(want, rel=3e-7), g
 
     def test_critical_z_is_where_the_slope_at_zero_changes_sign(self):
         """Z_CRIT = sqrt(2) x0 with 2 x0 F(x0) = 1, F Dawson's function."""
