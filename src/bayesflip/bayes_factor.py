@@ -154,10 +154,8 @@ def log_bf01(z: float, k: float) -> float:
     """
     if not 0.0 <= k < math.inf:
         raise DomainError(f"k must be nonnegative and finite, got {k}")
-    log_bf = 0.5 * math.log1p(k) - z * z * k / (2.0 * (1.0 + k))
-    if not math.isfinite(log_bf):
-        # z^2 k overflows for k near DBL_MAX / z^2, where k / (1 + k) does not
-        log_bf = 0.5 * math.log1p(k) - 0.5 * z * z * (k / (1.0 + k))
+    # k / (1 + k) is finite for every finite k; z^2 k and 2 (1 + k) are not
+    log_bf = 0.5 * math.log1p(k) - 0.5 * z * z * (k / (1.0 + k))
     if not math.isfinite(log_bf):
         raise DomainError(f"log BF01 is not a finite float for z = {z}, k = {k}")
     return log_bf
@@ -177,7 +175,8 @@ def dlogbf_dk(z: float, k: float) -> float:
     if k < 0.0:
         raise DomainError(f"k must be nonnegative, got {k}")
     kp1 = 1.0 + k
-    slope = (kp1 - z * z) / (2.0 * kp1 * kp1)
+    # divided by 1 + k twice: (1 + k)^2 overflows from k ~ 9.5e153 on
+    slope = 0.5 * (kp1 - z * z) / kp1 / kp1
     if not math.isfinite(slope):
         raise DomainError(f"dlogBF01/dk is not a finite float for z = {z}, k = {k}")
     return slope

@@ -264,10 +264,12 @@ def _cmd_figure1(args: argparse.Namespace) -> tuple:
     panel_a = report.figure_panel_a(args.points_a)
     panel_b = report.figure_panel_b(args.points_b)
     d = args.precision
+    setup_b = f"z={report.FIGURE_B_SETUP.z:g}, n={report.FIGURE_B_SETUP.n}"
     human = "\n".join([
         f"panel a: {len(panel_a)} rows (BF01 vs k, z in "
         f"{', '.join(f'{z:g}' for z in report.TABLE_Z_VALUES)}; kind=flip rows mark k*)",
-        f"panel b: {len(panel_b)} rows (BF01 vs tau, z=2, n=50; markers at tau=0.8, 1.5)",
+        f"panel b: {len(panel_b)} rows (BF01 vs tau, {setup_b}; markers at tau="
+        f"{', '.join(f'{t:g}' for t in report.FIGURE_B_MARKER_TAUS)})",
         "use --format csv|json (and --out) for the data",
         "flip points: " + ", ".join(
             f"z={r.z:g}: k*={r.x:.{d}f}" for r in panel_a if r.kind == report.ROW_FLIP),
@@ -293,8 +295,8 @@ def _cmd_figure1(args: argparse.Namespace) -> tuple:
                    for r in panel_b if r.kind == report.ROW_MARKER]
         flips = [r for r in panel_b if r.kind == report.ROW_FLIP]
         return svg.line_chart(
-            [svg.Series("z=2, n=50", tuple(r.x for r in pts), tuple(r.bf01 for r in pts))],
-            markers, title="BF01 vs tau (z=2, n=50)", x_label="tau",
+            [svg.Series(setup_b, tuple(r.x for r in pts), tuple(r.bf01 for r in pts))],
+            markers, title=f"BF01 vs tau ({setup_b})", x_label="tau",
             ref_x=flips[0].x if flips else None,
         )
 
@@ -411,7 +413,3 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

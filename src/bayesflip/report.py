@@ -44,7 +44,7 @@ ROW_MARKER = "marker"
 FIGURE_A_K_RANGE = (1e-2, 1e5)
 FIGURE_B_TAU_RANGE = (0.1, 3.0)
 FIGURE_B_MARKER_TAUS = (0.8, 1.5)
-_FIGURE_B_SETUP = TestSetup(n=50, z=2.0)
+FIGURE_B_SETUP = TestSetup(n=50, z=2.0)
 
 
 SweepRow = record(
@@ -152,7 +152,7 @@ def figure_panel_b(points: int = 120) -> list[FigureRow]:
     """BF01 vs tau for z = 2, n = 50 over tau in [0.1, 3], with marker
     rows at the two headline scales and a flip row at tau*: the normal
     sweep of that setup, as figure rows."""
-    setup = _FIGURE_B_SETUP
+    setup = FIGURE_B_SETUP
     markers = sweep_rows(setup, "normal", list(FIGURE_B_MARKER_TAUS))
     rows = [*sweep_rows(setup, "normal", scale_grid(*FIGURE_B_TAU_RANGE, points, "linear")),
             *(r._replace(kind=ROW_MARKER) for r in markers), sweep_flip_row(setup)]

@@ -82,6 +82,22 @@ class TestLogBf01:
     def test_grows_without_bound(self):
         assert log_bf01(2.0, 1e12) > math.log(1e3)
 
+    def test_matches_mpmath_over_the_whole_domain(self):
+        """Within 4 ulps of the larger of its terms 0.5 log(1+k) and
+        z^2 k / (2 (1+k)) against 50 digits, z in [0, 40], k log-spaced up
+        to the largest float.  Past k = DBL_MAX / 2, 2 (1 + k) overflows, and
+        forming z^2 k / (2 (1+k)) there dropped the z^2 term."""
+        dbl_max = sys.float_info.max
+        ks = [float(k) for k in np.logspace(-300, 308, 153)] + [1.05e308, dbl_max]
+        with mpmath.workdps(50):
+            for z in np.linspace(0.0, 40.0, 46):
+                z = float(z)
+                for k in ks:
+                    lead = mpmath.log1p(k) / 2
+                    quad = mpmath.mpf(z) ** 2 * k / (2 * (1 + mpmath.mpf(k)))
+                    ulp = math.ulp(float(max(lead, quad)))
+                    assert abs(log_bf01(z, k) - (lead - quad)) <= 4 * ulp, (z, k)
+
 
 class TestBf01Wrapper:
     @pytest.mark.parametrize("tau,expected,tol,direction", [
@@ -120,6 +136,20 @@ class TestDerivative:
     def test_negative_k_rejected(self):
         with pytest.raises(DomainError):
             dlogbf_dk(1.0, -0.1)
+
+    def test_matches_mpmath_up_to_huge_k(self):
+        """Within 1e-15 of the scale of its terms, (1+k + z^2) / (2 (1+k)^2),
+        against 50 digits up to k = 1e300; (1+k)^2 overflows from
+        k ~ 9.5e153 on, where the slope is about 1 / (2k), not 0."""
+        with mpmath.workdps(50):
+            for z in np.linspace(0.0, 40.0, 21):
+                for k in np.logspace(-300, 300, 121):
+                    z, k = float(z), float(k)
+                    kp1 = 1 + mpmath.mpf(k)
+                    ref = (kp1 - z * z) / (2 * kp1 ** 2)
+                    scale = (kp1 + z * z) / (2 * kp1 ** 2)
+                    assert abs(dlogbf_dk(z, k) - ref) <= 1e-15 * scale, (z, k)
+        assert dlogbf_dk(2.0, 1e200) == pytest.approx(5e-201, rel=1e-15)
 
     def test_matches_central_finite_difference(self):
         """Analytic derivative vs central differences at 100 random (z, k)."""

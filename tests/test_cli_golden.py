@@ -53,6 +53,9 @@ CASES = {
                        "--scale", "0.05", "--format", "json"],
     "bf-normal-underflow-json": ["bf", "--z", "40", "--n", "50", "--scale", "1",
                                  "--format", "json"],
+    # k = 1e308, past DBL_MAX / 2, where 2 (1 + k) overflows
+    "bf-normal-huge-k-json": ["bf", "--z", "1", "--n", "1", "--scale", "1e154",
+                              "--format", "json"],
     "bf-cauchy-underflow-human": ["bf", "--z", "40", "--n", "50", "--prior", "cauchy",
                                   "--scale", "1"],
     "flip-both-human": ["flip", "--z", "2", "--n", "50"],

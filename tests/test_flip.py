@@ -354,6 +354,23 @@ class TestFlipPointDomainEdges:
         assert l.k_star == pytest.approx(b.k_star, rel=1e-9)
         assert b.k_star == pytest.approx(float(mp_k_star(z)), rel=1e-10)
 
+    def test_both_routes_share_one_overflow_boundary(self):
+        """Over the 100 floats about sqrt(log(DBL_MAX)), both routes raise
+        exactly where z^2 > log(DBL_MAX) and agree to 1e-12 below it."""
+        log_max = math.log(sys.float_info.max)
+        z = math.sqrt(log_max)
+        for _ in range(50):
+            z = math.nextafter(z, math.inf)
+        for _ in range(100):
+            if z * z > log_max:
+                for method in FlipMethod:
+                    with pytest.raises(DomainError, match="k\\* overflows"):
+                        flip_point(z, method)
+            else:
+                b, l = (flip_point(z, method).k_star for method in FlipMethod)
+                assert b == pytest.approx(l, rel=1e-12), z
+            z = math.nextafter(z, 0.0)
+
     @pytest.mark.parametrize("z", [27.0, 30.0, 40.0, -30.0])
     @pytest.mark.parametrize("method", [FlipMethod.BRACKETED, FlipMethod.LAMBERT_W])
     def test_overflowing_k_star_is_domain_error(self, z, method):
@@ -394,7 +411,7 @@ class TestPhiOverItsWholeDomain:
         # y - 1 log-spaced over (1e-9, 708.5]: y up to 709.5
         for d in np.logspace(-9, math.log10(708.5), 61)[1:]:
             y = 1.0 + float(d)
-            assert abs(phi_inverse(y) / mp_phi_inverse(y) - 1) <= 1e-12, y
+            assert abs(phi_inverse(y) / mp_phi_inverse(y) - 1) <= 1e-14, y
 
     def test_phi_inverse_of_709(self):
         # the old doubling bracket returned 2.556e305 here, where phi is 704
@@ -402,7 +419,13 @@ class TestPhiOverItsWholeDomain:
         assert abs(k / mp_phi_inverse(709.0) - 1) <= 1e-12
         assert phi(k) == pytest.approx(709.0, rel=1e-14)
 
-    @pytest.mark.parametrize("y", [710.0, 800.0, 1e308, math.inf])
+    def test_phi_inverse_of_the_largest_float_phi(self):
+        """Finite at y = log(DBL_MAX), phi of the largest float."""
+        y = math.log(sys.float_info.max)
+        assert phi(phi_inverse(y)) == pytest.approx(y, rel=1e-15)
+
+    @pytest.mark.parametrize("y", [math.nextafter(math.log(sys.float_info.max), math.inf),
+                                   710.0, 800.0, 1e308, math.inf])
     def test_phi_inverse_overflow_is_domain_error(self, y):
         with pytest.raises(DomainError, match=re.escape(f"y = {y}")):
             phi_inverse(y)
@@ -463,4 +486,5 @@ class TestDefaultRoute:
         pair = reversal_pair(setup)
         assert validate_pair(setup, pair.tau1, pair.tau2) == pair
         assert sweep_flip_row(setup).k == flip_point(z).k_star
+        assert phi_inverse(z * z) == pytest.approx(flip_point(z).k_star, rel=1e-9)
         assert len(table_rows()) == 5 and len(figure_panel_a(2)) == 15
