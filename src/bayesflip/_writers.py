@@ -13,11 +13,11 @@ JSON: exactly the text of ``json.dumps(obj, indent=2)``, where each row
 is the object ``dict(zip(header, row))``, its cells taken as above.
 Each table's rows are filled into one ``%``-template, because
 ``json.dumps`` with an indent runs CPython's pure-Python encoder.  Cells
-are formatted a column at a time, with one type test per column: a
-column of finite floats is its ``repr``s, a column of one non-numeric
-type (kind tags, directions, ``None``) formats each distinct object once,
-and any other column goes cell by cell.  ``json`` is imported only when
-JSON is written.
+are formatted a column at a time, by one of two paths: a column of
+finite floats is its ``repr``s, and any other column formats each
+distinct object once, looked up by identity, which is exact for any type
+(kind tags, directions or ``None`` are a few objects).  ``json`` is
+imported only when JSON is written.
 """
 
 __all__ = ["csv_text", "json_text"]
@@ -46,14 +46,9 @@ def json_text(tables, one_object: bool) -> str:
 
     def column(cells):
         """The JSON text of each cell of one column."""
-        kinds = set(map(type, cells))
-        if kinds == {float} and all(map(isfinite, cells)):
+        if set(map(type, cells)) == {float} and all(map(isfinite, cells)):
             return map(repr, cells)
-        (kind, *others) = kinds
-        if others or issubclass(kind, (int, float)):
-            return map(cell, cells)
-        # by identity: exact for any type, and a column's tags are a few objects
-        text = {id(v): v for v in cells}
+        text = {id(v): v for v in cells}  # by identity: exact for any type
         text = {i: cell(v) for i, v in text.items()}
         return map(text.__getitem__, map(id, cells))
 

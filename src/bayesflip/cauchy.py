@@ -23,7 +23,6 @@ from ._kernels import log_re_faddeeva
 from ._record import record
 from .bayes_factor import _LOG_DBL_MAX, BayesFactorResult, TestSetup
 from .errors import ConvergenceError, DomainError, NoFlipPoint
-from .numerics import find_root
 
 __all__ = ["CauchyPrior", "Z_CRIT", "bf01_cauchy", "cauchy_flip_scale"]
 
@@ -120,6 +119,7 @@ def cauchy_flip_scale(setup: TestSetup) -> float:
     log_gamma_a = 0.5 * z * z + _LOG_SQRT_2_OVER_PI
     log_gamma = log_gamma_a
     if log_gamma_a < _LOG_GAMMA_ASYMPTOTIC:
+        from .numerics import find_root  # here only: Bayes factors load no solver
         gamma_a = math.exp(log_gamma_a)
         s_lo = math.log1p(-math.exp(-2.0 * (z - Z_CRIT)))
         # gamma = r at n = 1

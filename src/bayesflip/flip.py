@@ -64,10 +64,11 @@ ReversalPair = record(
 
 def phi(k: float) -> float:
     """phi(k) = (1+k) log(1+k) / k: strictly increasing bijection from
-    (0, inf) onto (1, inf), with phi(0+) = 1; finite for every finite k."""
+    (0, inf) onto (1, inf), with phi(0+) = 1; finite for every finite k.
+    It is 1 + ``_phi_minus_one(k)``, within 3e-16 of 50-digit mpmath."""
     if not 0.0 < k < math.inf:
         raise DomainError(f"phi domain is 0 < k < inf, got {k}")
-    return (1.0 + k) * (math.log1p(k) / k)
+    return 1.0 + _phi_minus_one(k)
 
 
 def phi_inverse(y: float) -> float:
@@ -110,13 +111,6 @@ def _lambert_k(t: float) -> float:
     return math.expm1(t - math.expm1(ell))
 
 
-def _no_finite_k_star(z: float) -> DomainError:
-    return DomainError(
-        f"k* overflows a float (log(1 + k*) > {_LOG_DBL_MAX:.2f}, "
-        f"i.e. |z| > {math.sqrt(_LOG_DBL_MAX):.3f}); got z = {z}"
-    )
-
-
 def flip_point(z: float, method: FlipMethod = FlipMethod.LAMBERT_W) -> FlipPointResult:
     """The unique k* > z^2 - 1 with BF01(z; k*) = 1; requires |z| > 1.
 
@@ -137,17 +131,16 @@ def flip_point(z: float, method: FlipMethod = FlipMethod.LAMBERT_W) -> FlipPoint
     """
     if not math.isfinite(z):
         raise DomainError(f"z-statistic must be finite, got z = {z}")
-    a = abs(z)
-    if a <= 1.0:
-        raise NoFlipPoint(
-            f"|z| must exceed 1 for a flip point (BF01 >= 1 for all k); got z = {z}"
-        )
     z2 = z * z
     # log(1 + k*) = z^2 + W0 with |W0| < 1e-300 wherever z^2 is near
     # log(DBL_MAX), so testing z^2 alone decides the overflow for both routes
     if z2 > _LOG_DBL_MAX:
-        raise _no_finite_k_star(z)
-    z2m1 = (a - 1.0) * (a + 1.0)  # z^2 - 1 without cancellation near |z| = 1
+        raise DomainError(f"k* overflows a float (log(1 + k*) > {_LOG_DBL_MAX:.2f}, "
+                          f"i.e. |z| > {math.sqrt(_LOG_DBL_MAX):.3f}); got z = {z}")
+    z2m1 = bf_argmin_k(z)  # k* lies above the Bayes-factor minimum
+    if z2m1 is None:
+        raise NoFlipPoint(f"|z| must exceed 1 for a flip point (BF01 >= 1 for all k); "
+                          f"got z = {z}")
     if method is FlipMethod.LAMBERT_W:
         k_star = _lambert_k(z2m1)
     elif method is FlipMethod.BRACKETED:

@@ -2,9 +2,11 @@
 emitter."""
 
 import math
+import random
 import re
 import sys
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -71,10 +73,25 @@ class TestScaleGrid:
         assert all(math.isfinite(x) for x in g)
         assert all(a < b for a, b in zip(g, g[1:]))
 
-    def test_linear_grid_bits_unchanged_below_overflow(self):
-        for lo, hi, points in [(0.1, 3.0, 100), (0.02, 4.7, 37), (1e300, 1e307, 11)]:
-            assert scale_grid(lo, hi, points) == [
-                lo + (hi - lo) * i / (points - 1) for i in range(points)]
+    def test_linear_grid_within_two_ulps_of_exact(self):
+        """Each point against lo + (hi - lo) i / n in exact rationals, with
+        both ends exact and the points strictly increasing; the seeded
+        draw reached 2.07 ulps under the old lo + (hi - lo) * i / n."""
+        rng = random.Random(1)
+        cases = [(0.1, 3.0, 100), (0.02, 4.7, 37), (1e300, 1e307, 11),
+                 (0.1, 1e308, 100), (1e-300, DBL_MAX, 1000), (-1e308, 1e308, 7),
+                 (-DBL_MAX, DBL_MAX, 3)]
+        for _ in range(400):
+            lo = rng.uniform(0.0, 10.0) * 10.0 ** rng.randint(-5, 5)
+            cases.append((lo, lo + rng.uniform(0.0, 10.0) * 10.0 ** rng.randint(-5, 5),
+                          rng.randint(2, 300)))
+        for lo, hi, points in cases:
+            g = scale_grid(lo, hi, points)
+            assert len(g) == points and g[0] == lo and g[-1] == hi
+            assert all(a < b for a, b in zip(g, g[1:]))
+            for i, x in enumerate(g):
+                exact = Fraction(lo) + (Fraction(hi) - Fraction(lo)) * i / (points - 1)
+                assert abs(Fraction(x) - exact) <= 2 * Fraction(math.ulp(exact)), (lo, hi, i)
 
 
 class TestSweep:

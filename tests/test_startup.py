@@ -231,9 +231,12 @@ def test_bf_normal_loads_only_closed_form_modules():
 
 
 def test_bf_cauchy_does_not_load_flip():
+    """Nor the root solver, which only cauchy_flip_scale imports: a Cauchy
+    Bayes factor loads the Voigt kernel and no more."""
     mods = loaded_by(bf_argv("cauchy"))
-    assert "bayesflip.cauchy" in mods
-    assert "bayesflip.flip" not in mods and "bayesflip.report" not in mods
+    assert {"bayesflip.cauchy", "bayesflip._kernels"} <= mods
+    assert not {"bayesflip.numerics", "bayesflip.flip", "bayesflip.report",
+                "bayesflip.svg"} & mods
 
 
 def test_every_public_name_resolves():
