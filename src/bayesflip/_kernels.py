@@ -5,9 +5,8 @@ behind every Cauchy-prior Bayes factor, flip-scale search and sweep.
 ``log_neg_w0`` is the principal branch of the Lambert W function in log
 space, behind the normal-prior flip point.
 
-``log_re_faddeeva`` assumes domain-valid inputs (``bayesflip.cauchy``
-validates); ``log_neg_w0`` checks its own domain and raises the package's
-exceptions.
+``log_re_faddeeva`` takes every finite x and every y > 0;
+``log_neg_w0`` checks its own domain and raises the package's exceptions.
 """
 
 import math
@@ -195,8 +194,8 @@ def log_re_faddeeva(x, y):
             log_re = math.log(y * (b0 - a * b1) - x * b * b1) - math.log(r2) - _LOG_SQRT_PI
         else:  # S = 1; r^2 may overflow
             log_re = math.log(y) - 2.0 * math.log(math.hypot(x, y)) - _LOG_SQRT_PI
-        if y < 1.0:
-            log_re += math.log1p(math.cos(2.0 * x * y) * math.exp(y * y - x * x - log_re))
+        if y < 1.0 and (tail := math.exp(y * y - x * x - log_re)):
+            log_re += math.log1p(math.cos(2.0 * x * y) * tail)  # 2xy is finite here
         return log_re
     if y <= _SMALL_Y and x >= _SMALL_Y_MIN_X:
         f_prev = 0.5 * _SQRT_PI * _weideman(x, 0.0).imag  # F(x)

@@ -25,8 +25,9 @@ def find_root(f: Callable[[float], float], lo: float, hi: float,
 
     Terminates when the enclosing interval narrows below
     max(abs_tol, 1e-12 * |x|); abs_tol is an absolute floor for roots
-    near zero, and 0 stops on the relative width alone.  The result
-    always lies inside [lo, hi].  Raises DomainError unless lo < hi and
+    near zero, and 0 stops on the relative width alone.  Any finite
+    bracket is taken, even one wider than the largest float, and the
+    result always lies inside it.  Raises DomainError unless lo < hi and
     abs_tol >= 0, NoSignChange if f(lo) and f(hi) have the same sign,
     MaxIterExceeded past 200 iterations.
     """
@@ -50,7 +51,7 @@ def find_root(f: Callable[[float], float], lo: float, hi: float,
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
         tol = 0.5 * max(abs_tol, _REL_TOL * abs(b))
-        m = 0.5 * (c - b)
+        m = 0.5 * c - 0.5 * b  # c - b can overflow; halving a normal float is exact
         if abs(m) <= tol or fb == 0.0:
             return b
         if abs(e) < tol or abs(fa) <= abs(fb):

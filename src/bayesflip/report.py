@@ -62,27 +62,28 @@ FigureRow = record(
 
 
 def scale_grid(lo: float, hi: float, points: int, spacing: str = "linear") -> list[float]:
-    """Evenly spaced grid on [lo, hi], linear or logarithmic; the bounds
-    must be finite.  Point i of a linear grid, with n = points - 1, is
-    lo ((n - i) / n) + hi (i / n): finite for any finite bounds, exact at
-    both ends, and within 2 ulps of the exact lo + (hi - lo) i / n."""
+    """Evenly spaced grid on [lo, hi], linear or logarithmic, whose ends
+    are the bounds as given; the bounds must be finite.  Interior point i,
+    with n = points - 1, is lo ((n - i) / n) + hi (i / n), within 2 ulps
+    of the exact lo + (hi - lo) i / n, or exp(log lo + (log hi - log lo)
+    i / n): both finite for any finite bounds."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"grid bounds must be finite, got [{lo}, {hi}]")
     if points < 2:
         raise DomainError(f"grid needs at least 2 points, got {points}")
     if not lo < hi:
         raise DomainError(f"grid needs lo < hi, got [{lo}, {hi}]")
+    n = points - 1
     if spacing == "log":
         if not lo > 0.0:
             raise DomainError("log spacing needs positive bounds")
         la, lb = math.log(lo), math.log(hi)
-        grid = [math.exp(la + (lb - la) * i / (points - 1)) for i in range(points)]
-        grid[0], grid[-1] = lo, hi  # exp(log(x)) can miss x by an ulp
-        return grid
-    if spacing != "linear":
+        inner = [math.exp(la + (lb - la) * i / n) for i in range(1, n)]
+    elif spacing == "linear":
+        inner = [lo * ((n - i) / n) + hi * (i / n) for i in range(1, n)]
+    else:
         raise DomainError(f"unknown spacing {spacing!r}")
-    n = points - 1
-    return [lo * ((n - i) / n) + hi * (i / n) for i in range(points)]
+    return [lo, *inner, hi]
 
 
 def sweep_rows(setup: TestSetup, prior_family: str, scales: list[float]) -> list[SweepRow]:

@@ -4,6 +4,7 @@ closed form."""
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -99,6 +100,12 @@ class TestHugeZ:
     def test_bayes_factor_names_z(self, z):
         with pytest.raises(DomainError, match=re.escape(f"z = {z}, r = 1.0")):
             bf01_cauchy(TestSetup(50, z), CauchyPrior(1.0))
+
+    @pytest.mark.parametrize("z", [1.3e308, -sys.float_info.max])
+    def test_bayes_factor_names_z_past_the_kernel_overflow(self, z):
+        # 2xy overflowed in the Voigt kernel here, and cos(inf) raised ValueError
+        with pytest.raises(DomainError, match=re.escape(f"z = {z}, r = 1.0")):
+            bf01_cauchy(TestSetup(1, z), CauchyPrior(1.0))
 
     def test_largest_finite_flip_scale_is_kept(self):
         # log r* just below log(DBL_MAX): exp is still a float

@@ -227,26 +227,39 @@ SCALE = st.floats(1e-9, 1e9)
 
 
 @st.composite
-def cli_runs(draw):
-    """argv of one bf, sweep, flip or paradox run over the flags' domain."""
-    z = ["--z", repr(draw(Z))]
+def cli_runs(draw, z=Z, n=N, scale=SCALE):
+    """argv of one bf, sweep, flip or paradox run, with z, n and the
+    scales drawn from the given strategies."""
+    z_flag = ["--z", repr(draw(z))]
     command = draw(st.sampled_from(["bf", "sweep", "flip", "paradox"]))
     if command == "bf":
-        return ["bf", *z, "--n", str(draw(N)), "--prior",
-                draw(st.sampled_from(["normal", "cauchy"])), "--scale", repr(draw(SCALE))]
+        return ["bf", *z_flag, "--n", str(draw(n)), "--prior",
+                draw(st.sampled_from(["normal", "cauchy"])), "--scale", repr(draw(scale))]
     if command == "sweep":
-        lo, hi = sorted(draw(st.lists(SCALE, min_size=2, max_size=2, unique=True)))
-        return ["sweep", *z, "--n", str(draw(N)),
+        lo, hi = sorted(draw(st.lists(scale, min_size=2, max_size=2, unique=True)))
+        return ["sweep", *z_flag, "--n", str(draw(n)),
                 "--prior", draw(st.sampled_from(["normal", "cauchy"])),
                 "--spacing", draw(st.sampled_from(["linear", "log"])),
                 "--scale-min", repr(lo), "--scale-max", repr(hi),
                 "--points", str(draw(st.integers(2, 12)))]
     if command == "flip":
-        n = draw(st.none() | N)
-        return ["flip", *z, *([] if n is None else ["--n", str(n)]),
+        n_flag = draw(st.none() | n)
+        return ["flip", *z_flag, *([] if n_flag is None else ["--n", str(n_flag)]),
                 "--method", draw(st.sampled_from(["bracketed", "lambert_w", "both"]))]
     spread = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-    return ["paradox", *z, "--n", str(draw(N)), "--spread", repr(spread)]
+    return ["paradox", *z_flag, "--n", str(draw(n)), "--spread", repr(spread)]
+
+
+def assert_strict_json_or_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*argv, "--format", "json"])
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert err.getvalue() == ""
+    else:
+        lines = err.getvalue().splitlines()
+        assert code == 1 and len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
 
 
 @settings(max_examples=300, deadline=None)
@@ -256,14 +269,22 @@ def test_every_run_is_strict_json_or_a_one_line_error(argv):
     """Within the flags' domain a run exits 0 with JSON free of NaN and
     Infinity, or exits 1 with an error line: never a usage error or a
     traceback."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([*argv, "--format", "json"])
-    if code == 0:
-        json.loads(out.getvalue(), parse_constant=_reject_constant)
-        assert err.getvalue() == ""
-    else:
-        assert code == 1 and err.getvalue().startswith("error: "), err.getvalue()
+    assert_strict_json_or_one_error_line(argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_runs(z=st.floats(allow_nan=False, allow_infinity=False), n=st.integers(1, 10**18),
+                scale=st.floats(0.0, sys.float_info.max, exclude_min=True)))
+# 2xy overflowed in the Voigt kernel, and cos(inf) raised ValueError
+@example(["bf", "--z", "1.3e308", "--n", "1", "--prior", "cauchy", "--scale", "1"])
+# the last log point rounded past log(DBL_MAX), and exp overflowed
+@example(["sweep", "--z", "2", "--n", "1", "--spacing", "log",
+          "--scale-min", "2.898708081470005e-121", "--scale-max", "1.7976931348623157e308",
+          "--points", "6"])
+def test_every_finite_input_is_strict_json_or_a_one_line_error(argv):
+    """The same over every finite z, every positive finite scale and n up
+    to 10**18."""
+    assert_strict_json_or_one_error_line(argv)
 
 
 class TestSweepCommand:

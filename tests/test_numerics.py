@@ -2,6 +2,7 @@
 against mpmath at 60 digits and more."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -81,6 +82,16 @@ class TestFindRoot:
             assert -2.0 <= x <= 2.0
             expected = math.copysign(abs(c) ** (1.0 / 3.0), c)
             assert x == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("f", [math.atan, lambda t: t])
+    def test_bracket_wider_than_the_largest_float(self, f):
+        # c - b overflowed: atan gave -inf, the identity never converged
+        assert find_root(f, -1e308, 1e308) == 0.0
+
+    def test_bracket_of_the_whole_float_range(self):
+        x = find_root(lambda t: t - 0.3, -sys.float_info.max, sys.float_info.max)
+        assert -sys.float_info.max <= x <= sys.float_info.max
+        assert x == pytest.approx(0.3, abs=1e-12)
 
 
 def mp_log_neg_w0(d: float):

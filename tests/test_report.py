@@ -73,6 +73,13 @@ class TestScaleGrid:
         assert all(math.isfinite(x) for x in g)
         assert all(a < b for a, b in zip(g, g[1:]))
 
+    def test_log_grid_up_to_the_largest_float(self):
+        # the last point, exp of a log rounded past log(DBL_MAX), used to overflow
+        g = scale_grid(2.898708081470005e-121, DBL_MAX, 6, "log")
+        assert len(g) == 6 and g[0] == 2.898708081470005e-121 and g[-1] == DBL_MAX
+        assert all(math.isfinite(x) for x in g)
+        assert all(a < b for a, b in zip(g, g[1:]))
+
     def test_linear_grid_within_two_ulps_of_exact(self):
         """Each point against lo + (hi - lo) i / n in exact rationals, with
         both ends exact and the points strictly increasing; the seeded

@@ -4,6 +4,7 @@ and flip scales, against oracles that share none of its code: mpmath at
 ``tests/_oracles.py``."""
 
 import math
+import sys
 from bisect import bisect_left
 
 import mpmath
@@ -391,6 +392,12 @@ class TestInputs:
     def test_scale_must_be_positive_and_finite(self, r):
         with pytest.raises(DomainError):
             CauchyPrior(r)
+
+    @pytest.mark.parametrize("x", [1e154, 9.2e307, sys.float_info.max])
+    @pytest.mark.parametrize("y", [5e-324, 0.5, 0.999])
+    def test_kernel_takes_every_finite_x(self, x, y):
+        # 2xy used to overflow on the real-axis term, and cos(inf) raised
+        assert math.isfinite(_kernels.log_re_faddeeva(x, y))
 
     def test_finite_over_the_user_domain(self):
         for z in (0.0, 1.96, 8.0, 40.0):
