@@ -106,8 +106,13 @@ class NormalPrior(record("NormalPrior", "tau")):
         return tuple.__new__(cls, (tau,))
 
     def k(self, setup: TestSetup) -> float:
-        """Derived prior precision relative to the data: n * tau^2."""
-        return setup.n * self.tau * self.tau
+        """Derived prior precision relative to the data: n * tau^2.  Raises
+        DomainError, naming n and tau, where that overflows a float."""
+        k = setup.n * self.tau * self.tau
+        if not k < math.inf:
+            raise DomainError(f"k must be nonnegative and finite, got {k} = n tau^2 "
+                              f"for n = {setup.n}, tau = {self.tau}")
+        return k
 
 
 _NEUTRAL, _FAVOURS_H1, _FAVOURS_H0 = Direction.NEUTRAL, Direction.FAVOURS_H1, Direction.FAVOURS_H0

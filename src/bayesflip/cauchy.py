@@ -89,7 +89,7 @@ def cauchy_flip_scale(setup: TestSetup) -> float:
 
     Solves log BF01 = 0 for gamma* = sqrt(n)*r* in s = log(gamma /
     gamma_a), gamma_a = sqrt(2/pi) exp(z^2/2) the large-gamma asymptote of
-    gamma*, by one Brent solve on gamma_a (1 - e) < gamma* < gamma_a,
+    gamma*, by one find_root solve on gamma_a (1 - e) < gamma* < gamma_a,
     e = exp(-2 (|z| - Z_CRIT)).  The upper end is proved (Re w <
     1/(sqrt(pi) y) for every y), but log BF01 there, ~(z^2 + 1)/gamma_a^2,
     sinks under its rounding from |z| ~ 6.1 on, so the solve stops at

@@ -116,14 +116,14 @@ def flip_point(z: float, method: FlipMethod = FlipMethod.LAMBERT_W) -> FlipPoint
 
     The default, LAMBERT_W, is the closed form and the more accurate route
     (within 7e-14 of 50-digit k* over 1 + 1e-7 <= |z| <= 26.6, where the
-    bracketed route is within 2.6e-13); BRACKETED is the independent second
+    bracketed route is within 2.9e-13); BRACKETED is the independent second
     route.  LAMBERT_W evaluates exp(W0(-z^2 e^{-z^2}) + z^2) - 1; the
     principal branch picks out the nontrivial root (W-1 only recovers
     k = 0).  It takes W0 from the distance of log(z^2 e^{-z^2}) below the
     branch point's -1, which it knows to every digit however close |z| is
     to 1; phi_inverse(y) is the same closed form at z^2 = y, within 3.6e-15
-    of 50-digit mpmath.  BRACKETED solves phi(k) - 1 = z^2 - 1 by Brent's
-    method: the flip equation (1+k) log(1+k) = z^2 k divided by k, with
+    of 50-digit mpmath.  BRACKETED solves phi(k) - 1 = z^2 - 1 by
+    find_root: the flip equation (1+k) log(1+k) = z^2 k divided by k, with
     both sides formed so they stay accurate as z -> 1.  Both routes raise
     DomainError where k* is not a finite float, |z| above about 26.64, and
     for a non-finite z; a method that is not a FlipMethod member is a

@@ -1,11 +1,10 @@
-"""Self-contained numerical layer: Brent's bracketed root finding.
-
-Everything here is a pure function of its inputs and safe to call from
-multiple threads.
+"""Self-contained root finding: false position (Anderson-Bjorck) with a
+bisection guard.  Pure functions of their inputs, safe from any thread.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 from .errors import DomainError, MaxIterExceeded, NoSignChange
@@ -19,17 +18,16 @@ _MAX_ITER = 200
 
 def find_root(f: Callable[[float], float], lo: float, hi: float,
               abs_tol: float = 1e-14) -> float:
-    """Root of f on [lo, hi] by Brent's method: inverse-quadratic and
-    secant steps with a bisection fallback, so convergence is guaranteed
-    for any continuous sign-changing f.
+    """Root of f on [lo, hi] by false position with the Anderson-Bjorck
+    weight (BIT 13:253, 1973); a step not below half the one before last
+    is a bisection instead, so any continuous sign-changing f converges.
 
-    Terminates when the enclosing interval narrows below
-    max(abs_tol, 1e-12 * |x|); abs_tol is an absolute floor for roots
-    near zero, and 0 stops on the relative width alone.  Any finite
-    bracket is taken, even one wider than the largest float, and the
-    result always lies inside it.  Raises DomainError unless lo < hi and
-    abs_tol >= 0, NoSignChange if f(lo) and f(hi) have the same sign,
-    MaxIterExceeded past 200 iterations.
+    Stops when the enclosing interval narrows below max(abs_tol, 1e-12 *
+    |x|); abs_tol is an absolute floor for roots near zero, and 0 stops on
+    the relative width alone.  Any finite bracket is taken, even one wider
+    than the largest float, and the result always lies inside it.  Raises
+    DomainError unless lo < hi and abs_tol >= 0, NoSignChange if f(lo)
+    and f(hi) have the same sign, MaxIterExceeded past 200 iterations.
     """
     if not lo < hi:
         raise DomainError(f"bracket requires lo < hi, got [{lo}, {hi}]")
@@ -44,46 +42,31 @@ def find_root(f: Callable[[float], float], lo: float, hi: float,
     if (fa > 0.0) == (fb > 0.0):
         raise NoSignChange(f"f({a}) = {fa} and f({b}) = {fb} have the same sign")
 
-    c, fc = a, fa
-    e = d = b - a
+    step = prev_step = math.inf  # |c - b| one and two steps back
     for _ in range(_MAX_ITER):
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
         tol = 0.5 * max(abs_tol, _REL_TOL * abs(b))
-        m = 0.5 * c - 0.5 * b  # c - b can overflow; halving a normal float is exact
-        if abs(m) <= tol or fb == 0.0:
-            return b
-        if abs(e) < tol or abs(fa) <= abs(fb):
-            e = d = m
+        m = 0.5 * a - 0.5 * b  # a - b can overflow; halving a normal float is exact
+        if abs(m) <= tol:  # b may be the point taken tol past the root
+            return b if abs(fb) <= abs(fa) else a
+        # false position, formed from the end with the smaller |f| so that it
+        # does not round away, and at least tol from b so the bracket closes
+        r = fa / fb  # < 0: fb is never 0 here
+        if r <= -1.0:
+            c = b + 2.0 * m / (1.0 - r)
         else:
-            s = fb / fa
-            if a == c:
-                p = 2.0 * m * s
-                q = 1.0 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            s, e = e, d
-            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * s * q):
-                d = p / q
-            else:
-                e = d = m
-        a, fa = b, fb
-        if tol < abs(d):
-            b += d
-        elif m > 0.0:
-            b += tol
-        else:
-            b -= tol
-        fb = f(b)
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            e = d = b - a
+            c = a - 2.0 * m * (r / (r - 1.0))
+        if not abs(c - b) >= tol:
+            c = b + math.copysign(tol, m)
+        if not (a < c < b or b < c < a) or not abs(c - b) <= 0.5 * prev_step:
+            c = b + m
+        step, prev_step = abs(c - b), step
+        fc = f(c)
+        if fc == 0.0:
+            return c
+        if (fc > 0.0) != (fb > 0.0):
+            a, fa = b, fb
+        else:  # a is kept: scale fa, halving it where the weight is not positive
+            g = 1.0 - fc / fb
+            fa *= g if g > 0.0 else 0.5
+        b, fb = c, fc
     raise MaxIterExceeded(f"root not localized within {_MAX_ITER} iterations")

@@ -3,8 +3,9 @@ callable returns finite floats, records of them or a documented None, or
 raises a ``BayesFlipError``; no other exception and no inf or nan gets
 out.
 
-Each name in ``bayesflip.__all__`` that can be called, and each public
-function of ``bayesflip.report``, gets a strategy that draws from every
+Each name in ``bayesflip.__all__`` that can be called, each public
+function of ``bayesflip.report``, and the public methods of the records
+that check their inputs, get a strategy that draws from every
 finite float of both signs (subnormals and +-DBL_MAX included), from
 integers up to 10**400 for a sample size, from the enum members, and
 from points in [-2, 300].  A callable with no strategy fails
@@ -34,7 +35,7 @@ EXCLUDED = {
     "NoSignChange", "NotAReversal",
     # enums: their members are drawn as arguments
     "Direction", "FlipMethod",
-    # records that take their fields unchecked; BayesFactorResult.from_log is covered
+    # records that take their fields unchecked; BayesFactorResult's methods are covered
     "BayesFactorResult", "FlipPointResult", "ReversalPair",
 }
 # names documented to return None for some inputs
@@ -47,6 +48,7 @@ SCALES = st.lists(FLOATS, max_size=4)
 SETUPS = st.builds(TestSetup, st.integers(1, int(DBL_MAX)), FLOATS)
 NORMAL_PRIORS = st.builds(bayesflip.NormalPrior, st.floats(0.0, DBL_MAX, exclude_min=True))
 CAUCHY_PRIORS = st.builds(bayesflip.CauchyPrior, st.floats(0.0, DBL_MAX, exclude_min=True))
+RESULTS = st.builds(bayesflip.BayesFactorResult.from_log, st.floats(-DBL_MAX, math.log(DBL_MAX)))
 
 
 def _shifted(c, x):
@@ -67,7 +69,7 @@ def _resolve(name):
     obj = bayesflip
     for part in name.split("."):
         obj = getattr(obj, part)
-    return obj
+    return obj.fget if isinstance(obj, property) else obj
 
 
 def _finite(value, none_ok=False):
@@ -119,8 +121,14 @@ def test_every_public_callable_has_a_contract():
 
 # bayesflip.bayes_factor
 test_test_setup = _contract("TestSetup", st.tuples(N, FLOATS))
+test_xbar = _contract("TestSetup.xbar", st.tuples(SETUPS))
+test_from_sample_mean = _contract("TestSetup.from_sample_mean", st.tuples(N, FLOATS))
 test_normal_prior = _contract("NormalPrior", st.tuples(FLOATS))
+# n tau^2 used to overflow to inf
+test_normal_prior_k = _contract("NormalPrior.k", st.tuples(NORMAL_PRIORS, SETUPS),
+                                (bayesflip.NormalPrior(1e200), TestSetup(1, 1.0)))
 test_from_log = _contract("BayesFactorResult.from_log", st.tuples(FLOATS))
+test_posterior_h0 = _contract("BayesFactorResult.posterior_h0", st.tuples(RESULTS, FLOATS))
 test_bf01 = _contract("bf01", st.tuples(SETUPS, NORMAL_PRIORS))
 test_bf_argmin_k = _contract("bf_argmin_k", st.tuples(FLOATS))
 test_dlogbf_dk = _contract("dlogbf_dk", st.tuples(FLOATS, FLOATS))

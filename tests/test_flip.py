@@ -449,6 +449,37 @@ class TestLambertRouteNearOne:
         assert abs(fp.k_star / mp_k_star(z) - 1) <= 1e-12
 
 
+class TestBracketedRoute:
+    """The bracketed route over 60 log-spaced z in (1 + 1e-7, 1.01] and the
+    241 z of ``test_matches_mpmath_over_the_finite_range``."""
+
+    Z = [1.0 + float(d) for d in np.logspace(-7.0, -2.0, 61)[1:]] + [
+        float(z) for z in np.linspace(1.01, 26.6, 241)]
+
+    def test_matches_mpmath(self):
+        for z in self.Z:
+            fp = flip_point(z, FlipMethod.BRACKETED)
+            assert abs(fp.k_star / mp_k_star(z) - 1) <= 3e-13, z
+
+    def test_evaluation_budget(self, monkeypatch):
+        """The 301 solves take 2,337 evaluations of phi(k) - 1 - (z^2 - 1);
+        Brent's method took 2,314.  The cap is 1.02 times that."""
+        solve = flip.find_root
+        evals = 0
+
+        def counted(f, lo, hi, abs_tol):
+            def g(k):
+                nonlocal evals
+                evals += 1
+                return f(k)
+            return solve(g, lo, hi, abs_tol)
+
+        monkeypatch.setattr(flip, "find_root", counted)
+        for z in self.Z:
+            flip_point(z, FlipMethod.BRACKETED)
+        assert evals <= 1.02 * 2314
+
+
 class TestDefaultRoute:
     """flip_point takes the Lambert-W closed form unless asked otherwise,
     so no caller that needs only k* runs a root solve, for any |z| > 1."""

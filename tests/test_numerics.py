@@ -93,6 +93,21 @@ class TestFindRoot:
         assert -sys.float_info.max <= x <= sys.float_info.max
         assert x == pytest.approx(0.3, abs=1e-12)
 
+    def test_steep_power_over_a_wide_bracket(self):
+        # Brent's method gave up here after 200 iterations
+        assert find_root(lambda t: t ** 9 - 1.0, 0.0, 1e30) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("f,lo,hi,abs_tol", [
+        # bisected 200 times when the false-position point was formed from
+        # the worse end
+        (lambda t: t - 3.904171043707114, 2.81693115198867e-49, 2.976446641443861e104, 1.0),
+        # roots among the subnormals, from either end of the bracket
+        (lambda t: math.atan(t - 3.4734188398e-313), -5e-324, 6.376996648062979e199, 1.0),
+        (lambda t: math.atan(t - 2.619595e-318), -1.9182914e-317, 1.4238265361997726, 0.0),
+    ])
+    def test_result_inside_bracket_at_the_float_range_edges(self, f, lo, hi, abs_tol):
+        assert lo <= find_root(f, lo, hi, abs_tol) <= hi
+
 
 def mp_log_neg_w0(d: float):
     """log(-W0(-exp(-1 - d))) at 60 + max(0, -log10 d) digits: at 60 alone

@@ -214,8 +214,9 @@ class TestFlipScale:
             assert Z_CRIT == pytest.approx(float(mpmath.sqrt(2) * x0), rel=1e-15)
 
     def test_kernel_is_never_evaluated_twice_at_one_point(self, monkeypatch):
-        """The solve is one Brent run on a bracket known before any
-        evaluation, and Brent never evaluates a point twice."""
+        """The solve is one find_root run on a bracket known before any
+        evaluation, and each of its points lies strictly inside the
+        bracket left by the points before, so none is evaluated twice."""
         seen = []
 
         def recording(x, y):
