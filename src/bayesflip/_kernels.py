@@ -123,26 +123,33 @@ def _asymptotic_tables():
 _NEG_SERIES_R2, _HORNER = _asymptotic_tables()
 
 
-def _weideman(x, y):
-    """w(x + iy) from the Weideman rational.
-
-    p(Z) is summed in real arithmetic by the Goertzel (Clenshaw)
-    recurrence b_j = a_j + 2u b_{j+1} - |Z|^2 b_{j+2}, with Z = u + iv and
-    p(Z) = b_0 - conj(Z) b_1: 2 multiplies and 2 adds a term, and no
-    complex object per term.  |Z|^2 is u*u + v*v from u and v as they
-    are used, so the quadratic the recurrence divides by vanishes at Z
-    to one rounding; a |Z|^2 rounded apart doubles the error near Z = 1
-    (zeta -> 0).
-    """
-    d = complex(_WEIDEMAN_L + y, -x)  # L - i*zeta
-    big_z = complex(_WEIDEMAN_L - y, x) / d
-    u, v = big_z.real, big_z.imag
-    u2, q = u + u, u * u + v * v
+def _goertzel(coeffs, a, b):
+    """(b_0, b_1) of the Goertzel (Clenshaw) recurrence
+    b_j = c_j + 2a b_{j+1} - (a a + b b) b_{j+2} over real coefficients c,
+    highest power first: their polynomial at t = a + ib is b_0 - conj(t) b_1.
+    |t|^2 is a*a + b*b from a and b as they are used, so the quadratic the
+    recurrence divides by vanishes at t to one rounding; a |t|^2 rounded
+    apart doubles the error near t = 1."""
+    p, q = a + a, a * a + b * b
     b0 = b1 = 0.0
-    for a in _WEIDEMAN_A:
-        b0, b1 = a + u2 * b0 - q * b1, b0
-    p = complex(b0 - u * b1, v * b1)
-    return 2.0 * p / (d * d) + _INV_SQRT_PI / d
+    for c in coeffs:
+        b0, b1 = c + p * b0 - q * b1, b0
+    return b0, b1
+
+
+def _weideman(x, y):
+    """(Re w, Im w) at x + iy from the Weideman rational, in real
+    arithmetic: with s = L + y and m = s^2 + x^2, 1 / (L - i zeta) is
+    (s + ix) / m and Z = ((L - y) s - x^2 + 2iLx) / m."""
+    s = _WEIDEMAN_L + y
+    m = s * s + x * x
+    gr, gi = s / m, x / m
+    u, v = ((_WEIDEMAN_L - y) * s - x * x) / m, 2.0 * _WEIDEMAN_L * gi
+    b0, b1 = _goertzel(_WEIDEMAN_A, u, v)
+    pr, pi = b0 - u * b1, v * b1  # p(Z)
+    sr, si = (gr - gi) * (gr + gi), 2.0 * gr * gi  # 1 / (L - i zeta)^2
+    return (2.0 * (pr * sr - pi * si) + _INV_SQRT_PI * gr,
+            2.0 * (pr * si + pi * sr) + _INV_SQRT_PI * gi)
 
 
 def log_re_faddeeva(x, y):
@@ -160,34 +167,27 @@ def log_re_faddeeva(x, y):
       part is a sum of nonnegative terms, taken in log space so neither
       y -> 0 nor y -> inf underflows; for y < 1 it is joined by the
       exp(-zeta^2) term that the series misses on the real axis.  Terms
-      0..K are summed by Horner's rule over precomputed coefficients, in
-      real arithmetic, with K bisected from r^2 = x^2 + y^2 in a table of
-      thresholds: from each on, the first omitted term is at most 1e-17
-      (``_asymptotic_tables``).
+      0..K are summed by ``_goertzel`` over precomputed coefficients, K
+      bisected from r^2 = x^2 + y^2 in a table of thresholds past which
+      the first omitted term is at most 1e-17 (``_asymptotic_tables``).
     - y <= 0.5 and x >= 2: the real-axis split
       Re w = exp(y^2 - x^2) cos(2xy) - (2 / sqrt(pi)) Im F(x + iy), with
       Dawson's F(x) from the Weideman rational on the real axis and
       Im F(x + iy) from its Taylor series in iy, the derivatives by
       F^(k+1) = -2x F^(k) - 2k F^(k-1).
-    - elsewhere the Weideman rational, its polynomial summed by the same
-      Goertzel recurrence (``_weideman``).
+    - elsewhere the Weideman rational (``_weideman``), its polynomial
+      summed by the same ``_goertzel``.
     """
     x = abs(x)
     r2 = x * x + y * y
     if r2 >= _ASYMPTOTIC_R2:
         k = bisect_left(_NEG_SERIES_R2, -r2)
         if k:
-            # the sum S at u = 1 / zeta^2 = a + ib by Horner's rule in real
-            # arithmetic (Goertzel): b_j = c_j + 2a b_{j+1} - |u|^2 b_{j+2},
-            # S = b_0 - conj(u) b_1
+            # the sum S at u = 1 / zeta^2 = a + ib, S = b_0 - conj(u) b_1
             t = 1.0 / r2
             a = (x - y) * (x + y) * t * t
             b = -2.0 * x * y * t * t
-            p = a + a
-            q = a * a + b * b
-            b0 = b1 = 0.0
-            for c in _HORNER[k]:
-                b0, b1 = c + p * b0 - q * b1, b0
+            b0, b1 = _goertzel(_HORNER[k], a, b)
             # Re(i S / zeta) |zeta|^2 = y Re S - x Im S; Im S <= 0: no cancellation.
             # Its log and log r^2 are taken apart: the quotient, ~y / r^2,
             # underflows for a subnormal y
@@ -198,7 +198,7 @@ def log_re_faddeeva(x, y):
             log_re += math.log1p(math.cos(2.0 * x * y) * tail)  # 2xy is finite here
         return log_re
     if y <= _SMALL_Y and x >= _SMALL_Y_MIN_X:
-        f_prev = 0.5 * _SQRT_PI * _weideman(x, 0.0).imag  # F(x)
+        f_prev = 0.5 * _SQRT_PI * _weideman(x, 0.0)[1]  # F(x)
         f = 1.0 - 2.0 * x * f_prev                        # F'(x)
         power = y                                         # +-y^k / k!
         im_f = f * y
@@ -212,4 +212,4 @@ def log_re_faddeeva(x, y):
                 break
         re_w = math.exp(y * y - x * x) * math.cos(2.0 * x * y) - 2.0 * _INV_SQRT_PI * im_f
         return math.log(re_w)
-    return math.log(_weideman(x, y).real)
+    return math.log(_weideman(x, y)[0])

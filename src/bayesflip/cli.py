@@ -45,6 +45,13 @@ Table = record(
     suffix when a command writes several), column names, and rows of
     cells (see ``_writers``).  Report records are rows as they are.""")
 
+def _scale_text(x: float, d: int) -> str:
+    """A prior scale at d decimals, widened below 1 to max(1, d) significant
+    digits where d decimals show fewer, so no nonzero scale prints as 0."""
+    e = max(1, d) - 1 - math.floor(math.log10(x)) if 0.0 < x < 1.0 else d
+    return f"{x:.{max(d, e)}f}"
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command's parser, built on the first call and shared by every
@@ -174,7 +181,7 @@ def _cmd_bf(args: argparse.Namespace) -> tuple:
         f"z            {args.z:.{d}f}",
         f"n            {args.n}",
         f"prior        {args.prior}",
-        f"scale        {args.scale:.{d}f}",
+        f"scale        {_scale_text(args.scale, d)}",
         f"k            {'-' if k is None else f'{k:.{d}f}'}",
         f"bf01         {res.bf01:.{d}f}",
         f"log_bf01     {res.log_bf01:.{d}f}",
@@ -201,7 +208,7 @@ def _cmd_flip(args: argparse.Namespace) -> tuple:
     d = args.precision
     lines = [f"z            {args.z:.{d}f}"]
     for r, ts in zip(results, taus):
-        tau_text = "" if ts is None else f"   tau*(n={n}) = {ts:.{d}f}"
+        tau_text = "" if ts is None else f"   tau*(n={n}) = {_scale_text(ts, d)}"
         lines.append(f"k* ({r.method.value:9s}) = {r.k_star:.{d}f}   "
                      f"residual = {r.residual:.2e}{tau_text}")
     if len(results) == 2:
@@ -223,7 +230,7 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple:
     d = args.precision
     lines = [f"{'kind':8s} {'scale':>12s} {'bf01':>12s} direction"]
     lines.extend(
-        f"{r.kind:8s} {r.scale:12.{d}f} {r.bf01:12.{d}f} {_DIRECTION_TEXT[r.direction]}"
+        f"{r.kind:8s} {_scale_text(r.scale, d):>12s} {r.bf01:12.{d}f} {_DIRECTION_TEXT[r.direction]}"
         for r in rows
     )
 
@@ -314,12 +321,20 @@ def _cmd_paradox(args: argparse.Namespace) -> tuple:
     post1 = posterior_prob_h0(pair.bf1)
     post2 = posterior_prob_h0(pair.bf2)
     d = args.precision
+
+    def shown(x, ok, fmt=_scale_text):  # fmt(x, e) at the least e >= d that ok takes, or repr
+        return next((t for e in range(d, d + 18) if ok(float(t := fmt(x, e)))), repr(x))
+    # the text shows what it claims: bf at each printed tau as labelled, tau1 < tau* < tau2
+    tau1 = shown(pair.tau1, lambda t: bf01(setup, NormalPrior(t)).direction is Direction.FAVOURS_H1)
+    tau2 = shown(pair.tau2, lambda t: bf01(setup, NormalPrior(t)).direction is Direction.FAVOURS_H0)
+    tau_star = shown(pair.tau_star, lambda t: float(tau1) < t < float(tau2))
+    fixed = "{:.{}f}".format
     lines = [
         f"z = {setup.z:.{d}f}, n = {setup.n}",
-        f"flip point k* = {k_star:.{d}f}; critical prior sd tau* = {pair.tau_star:.{d}f}",
-        f"analyst 1: tau = {pair.tau1:.{d}f}  ->  BF01 = {pair.bf1:.{d}f}  "
+        f"flip point k* = {k_star:.{d}f}; critical prior sd tau* = {tau_star}",
+        f"analyst 1: tau = {tau1}  ->  BF01 = {shown(pair.bf1, lambda b: b < 1.0, fixed)}  "
         f"(favours H1), P(H0 | data) = {post1:.{d}f}",
-        f"analyst 2: tau = {pair.tau2:.{d}f}  ->  BF01 = {pair.bf2:.{d}f}  "
+        f"analyst 2: tau = {tau2}  ->  BF01 = {shown(pair.bf2, lambda b: b > 1.0, fixed)}  "
         f"(favours H0), P(H0 | data) = {post2:.{d}f}",
         "same data, same hypotheses: the direction of evidence is set by "
         "the prior scale alone.",

@@ -5,6 +5,7 @@ bisection guard.  Pure functions of their inputs, safe from any thread.
 from __future__ import annotations
 
 import math
+import struct
 from collections.abc import Callable
 
 from .errors import DomainError, MaxIterExceeded, NoSignChange
@@ -14,13 +15,27 @@ __all__ = ["find_root"]
 # find_root's relative tolerance and iteration cap
 _REL_TOL = 1e-12
 _MAX_ITER = 200
+_SIGN = -(1 << 63)  # a negative float whose bits read as int64 i has ordinal _SIGN - i
+
+
+def _midpoint(a: float, b: float) -> float:
+    """The arithmetic midpoint of a and b where they share a sign within a
+    factor of 4; elsewhere the midpoint of their IEEE-754 ordinals (the
+    integer order of their bit patterns), which halves the count of floats
+    between them, so that bisection closes any finite bracket in 64 steps."""
+    if (a > 0.0) == (b > 0.0) and 0.25 * abs(b) <= abs(a) <= 4.0 * abs(b):
+        return b + (0.5 * a - 0.5 * b)  # a - b can overflow; halving a normal float is exact
+    oa, ob = struct.unpack("<2q", struct.pack("<2d", a, b))
+    o = ((oa if oa >= 0 else _SIGN - oa) + (ob if ob >= 0 else _SIGN - ob)) // 2
+    return struct.unpack("<d", struct.pack("<q", o if o >= 0 else _SIGN - o))[0]
 
 
 def find_root(f: Callable[[float], float], lo: float, hi: float,
               abs_tol: float = 1e-14) -> float:
     """Root of f on [lo, hi] by false position with the Anderson-Bjorck
     weight (BIT 13:253, 1973); a step not below half the one before last
-    is a bisection instead, so any continuous sign-changing f converges.
+    is a bisection in float order (``_midpoint``) instead, so any
+    continuous sign-changing f converges, also across many binades.
 
     Stops when the enclosing interval narrows below max(abs_tol, 1e-12 *
     |x|); abs_tol is an absolute floor for roots near zero, and 0 stops on
@@ -58,7 +73,7 @@ def find_root(f: Callable[[float], float], lo: float, hi: float,
         if not abs(c - b) >= tol:
             c = b + math.copysign(tol, m)
         if not (a < c < b or b < c < a) or not abs(c - b) <= 0.5 * prev_step:
-            c = b + m
+            c = _midpoint(a, b)
         step, prev_step = abs(c - b), step
         fc = f(c)
         if fc == 0.0:

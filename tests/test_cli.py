@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -30,6 +31,14 @@ def cli_env() -> dict:
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "bayesflip", *args]
     return subprocess.run(cmd, capture_output=True, text=True, env=cli_env())
+
+
+def run_in_process(*argv: str) -> tuple[int, str]:
+    """Exit code and stdout of one in-process CLI run; stderr is dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
 
 
 def parse_csv(text: str) -> list[dict]:
@@ -287,6 +296,25 @@ def test_every_finite_input_is_strict_json_or_a_one_line_error(argv):
     assert_strict_json_or_one_error_line(argv)
 
 
+@settings(max_examples=200, deadline=None)
+@given(argv=cli_runs(), precision=st.integers(0, 8))
+@example(argv=["sweep", "--z", "2", "--n", "1000000000", "--scale-min", "1e-5",
+               "--scale-max", "1e-3", "--points", "3"], precision=4)
+@example(argv=["bf", "--z", "2", "--n", "50", "--scale", "0.3"], precision=0)
+def test_human_output_prints_no_nonzero_scale_as_zero(argv, precision):
+    """Every prior scale in human text, parsed, is positive: scales print
+    with at least max(1, --precision) significant digits."""
+    code, text = run_in_process(*argv, "--precision", str(precision))
+    if code != 0:
+        return
+    if argv[0] == "sweep":
+        scales = [line.split()[1] for line in text.splitlines()[1:]]
+    else:
+        scales = re.findall(r"(?:^scale +|tau\*?(?:\(n=\d+\))? = )(\S+)", text, re.MULTILINE)
+    assert scales or argv[0] == "flip"
+    assert all(float(s) > 0.0 for s in scales), text
+
+
 class TestSweepCommand:
     def test_direction_changes_once_with_trailing_flip_row(self):
         cp = run_cli("sweep", "--z", "2", "--n", "50", "--prior", "normal",
@@ -471,6 +499,36 @@ class TestParadoxCommand:
         assert ("note: --spread 1e-18 gives no reversal outside the neutral band; shown "
                 "instead are the scale of the Bayes-factor minimum (k = z^2 - 1) and its "
                 "mirror about tau*\n") in cp.stdout
+
+    @settings(max_examples=200, deadline=None)
+    @given(z=st.floats(1.0, 26.6, exclude_min=True), sign=st.sampled_from([1.0, -1.0]),
+           n=st.integers(1, 10**9), spread=st.floats(1e-9, 1.0, exclude_max=True),
+           precision=st.integers(0, 8))
+    # one printed tau = 0.9943 and BF01 = 1.0000 for both analysts, with opposite labels
+    @example(z=2.0, sign=1.0, n=50, spread=1e-6, precision=4)
+    # both analysts printed at tau = 0.0007
+    @example(z=2.0, sign=1.0, n=10**8, spread=0.01, precision=4)
+    def test_printed_text_shows_what_it_claims(self, z, sign, n, spread, precision):
+        """Human paradox text, parsed: printed tau1 < tau* < tau2, each
+        printed BF01 on its label's side of 1, and bf at each printed tau
+        gives the printed direction."""
+        setup = ["--z", repr(sign * z), "--n", str(n)]
+        code, text = run_in_process("paradox", *setup, "--spread", repr(spread),
+                                    "--precision", str(precision))
+        if code != 0:
+            return
+        tau_star = float(text.split("tau* = ")[1].split()[0])
+        taus = []
+        for analyst, label in ((1, "H1"), (2, "H0")):
+            line = next(ln for ln in text.splitlines() if ln.startswith(f"analyst {analyst}:"))
+            words = line.split()
+            tau, bf = float(words[4]), float(words[8])
+            assert f"(favours {label})" in line
+            assert bf < 1.0 if label == "H1" else bf > 1.0, line
+            code, out = run_in_process("bf", *setup, "--scale", words[4], "--format", "json")
+            assert code == 0 and json.loads(out)["direction"] == f"favours_{label.lower()}", line
+            taus.append(tau)
+        assert 0.0 < taus[0] < tau_star < taus[1], text
 
     def test_json_fields(self):
         cp = run_cli("paradox", "--z", "1.96", "--n", "5000", "--format", "json")

@@ -94,6 +94,12 @@ CASES = {
     "paradox-csv": ["paradox", "--z", "1.96", "--n", "5000", "--format", "csv"],
     "paradox-json": ["paradox", "--z", "3", "--n", "20", "--spread", "0.2",
                      "--format", "json"],
+    # human scales keep their digits: these printed one tau with two labels,
+    # tau* with one significant digit, and a scale of 1e-5 as zero
+    "paradox-tiny-spread-human": ["paradox", "--z", "2", "--n", "50", "--spread", "1e-6"],
+    "flip-huge-n-human": ["flip", "--z", "2", "--n", "1000000000"],
+    "sweep-small-scales-human": ["sweep", "--z", "2", "--n", "1000000000", "--scale-min",
+                                 "1e-5", "--scale-max", "1e-3", "--points", "3"],
     "error-paradox-no-flip": ["paradox", "--z", "0.9", "--n", "50"],
     "error-flip-overflow": ["flip", "--z", "30"],
     "error-usage-scale": [*BF, "--scale", "0"],

@@ -108,6 +108,26 @@ class TestFindRoot:
     def test_result_inside_bracket_at_the_float_range_edges(self, f, lo, hi, abs_tol):
         assert lo <= find_root(f, lo, hi, abs_tol) <= hi
 
+    def test_bisection_in_float_order_reaches_a_tiny_root(self):
+        # false position lands on 0.0 again and again here; 200 arithmetic
+        # halvings from 5e164 reached only 6.6e104
+        lo, hi, root = -1.7306775256325628e-78, 5.281930245500092e+164, 1.018383958456759e-297
+        x = find_root(lambda t: t - root, lo, hi, 0.0)
+        assert lo <= x <= hi
+        assert abs(x / root - 1.0) <= 1e-11
+
+    @pytest.mark.parametrize("a,b", [(-1e308, 1e308), (1e-300, 1e300), (-1e-300, -1e300),
+                                     (-5e-324, 5e-324), (0.0, 1.0), (1.0, 3.0), (-2.0, -7.0)])
+    def test_midpoint_lies_strictly_between(self, a, b):
+        m = numerics._midpoint(a, b)
+        assert min(a, b) < m < max(a, b)
+        if 0.0 < a / b <= 4.0:  # one sign, within a factor of 4: the arithmetic midpoint
+            assert m == 0.5 * (a + b)
+        elif a * b > 0.0:  # the float-order midpoint of one sign: about sqrt(ab)
+            assert 0.5 < abs(m) / math.sqrt(a * b) < 2.0
+        else:  # across zero, or from it: near zero
+            assert abs(m) < 1e-150
+
 
 def mp_log_neg_w0(d: float):
     """log(-W0(-exp(-1 - d))) at 60 + max(0, -log10 d) digits: at 60 alone
