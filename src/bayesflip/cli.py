@@ -52,6 +52,18 @@ def _scale_text(x: float, d: int) -> str:
     return f"{x:.{max(d, e)}f}"
 
 
+def _shown(x: float, d: int, ok, fmt=_scale_text) -> str:
+    """fmt(x, e) at the least e >= d whose printed number ok takes, or repr(x)."""
+    return next((t for e in range(d, d + 18) if ok(float(t := fmt(x, e)))), repr(x))
+
+
+def _sided(x: float, d: int, *marks: float) -> str:
+    """x at d decimals, widened until it prints on x's side of each mark:
+    a Bayes factor never prints across 1 or as 0, a posterior across 1/2."""
+    return _shown(x, d, lambda v: all((v > m) - (v < m) == (x > m) - (x < m) for m in marks),
+                  "{:.{}f}".format)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command's parser, built on the first call and shared by every
@@ -177,16 +189,22 @@ def _cmd_bf(args: argparse.Namespace) -> tuple:
         k = None
     post = res.posterior_h0()
     d = args.precision
+    # each number prints on the side of 1, 0 or 1/2 that the direction names;
+    # a neutral one prints at d decimals
+    live = res.direction is not Direction.NEUTRAL
+
+    def sided(x, *marks):
+        return _sided(x, d, *marks) if live else f"{x:.{d}f}"
     human = "\n".join([
         f"z            {args.z:.{d}f}",
         f"n            {args.n}",
         f"prior        {args.prior}",
         f"scale        {_scale_text(args.scale, d)}",
-        f"k            {'-' if k is None else f'{k:.{d}f}'}",
-        f"bf01         {res.bf01:.{d}f}",
-        f"log_bf01     {res.log_bf01:.{d}f}",
+        f"k            {'-' if k is None else _scale_text(k, d)}",
+        f"bf01         {sided(res.bf01, 0.0, 1.0)}",
+        f"log_bf01     {sided(res.log_bf01, 0.0)}",
         f"direction    {_DIRECTION_TEXT[res.direction]}",
-        f"p_h0         {post:.{d}f}   (posterior of H0 at pi0 = 1/2)",
+        f"p_h0         {sided(post, 0.0, 0.5, 1.0)}   (posterior of H0 at pi0 = 1/2)",
     ])
     header = ("z", "n", "prior", "scale", "k", "bf01", "log_bf01",
               "direction", "posterior_prob_h0")
@@ -321,21 +339,20 @@ def _cmd_paradox(args: argparse.Namespace) -> tuple:
     post1 = posterior_prob_h0(pair.bf1)
     post2 = posterior_prob_h0(pair.bf2)
     d = args.precision
-
-    def shown(x, ok, fmt=_scale_text):  # fmt(x, e) at the least e >= d that ok takes, or repr
-        return next((t for e in range(d, d + 18) if ok(float(t := fmt(x, e)))), repr(x))
-    # the text shows what it claims: bf at each printed tau as labelled, tau1 < tau* < tau2
-    tau1 = shown(pair.tau1, lambda t: bf01(setup, NormalPrior(t)).direction is Direction.FAVOURS_H1)
-    tau2 = shown(pair.tau2, lambda t: bf01(setup, NormalPrior(t)).direction is Direction.FAVOURS_H0)
-    tau_star = shown(pair.tau_star, lambda t: float(tau1) < t < float(tau2))
-    fixed = "{:.{}f}".format
+    # the text shows what it claims: bf at each printed tau as labelled,
+    # tau1 < tau* < tau2, and each BF01 and posterior on its label's side
+    tau1 = _shown(pair.tau1, d,
+                  lambda t: bf01(setup, NormalPrior(t)).direction is Direction.FAVOURS_H1)
+    tau2 = _shown(pair.tau2, d,
+                  lambda t: bf01(setup, NormalPrior(t)).direction is Direction.FAVOURS_H0)
+    tau_star = _shown(pair.tau_star, d, lambda t: float(tau1) < t < float(tau2))
     lines = [
         f"z = {setup.z:.{d}f}, n = {setup.n}",
         f"flip point k* = {k_star:.{d}f}; critical prior sd tau* = {tau_star}",
-        f"analyst 1: tau = {tau1}  ->  BF01 = {shown(pair.bf1, lambda b: b < 1.0, fixed)}  "
-        f"(favours H1), P(H0 | data) = {post1:.{d}f}",
-        f"analyst 2: tau = {tau2}  ->  BF01 = {shown(pair.bf2, lambda b: b > 1.0, fixed)}  "
-        f"(favours H0), P(H0 | data) = {post2:.{d}f}",
+        f"analyst 1: tau = {tau1}  ->  BF01 = {_sided(pair.bf1, d, 0.0, 1.0)}  "
+        f"(favours H1), P(H0 | data) = {_sided(post1, d, 0.0, 0.5, 1.0)}",
+        f"analyst 2: tau = {tau2}  ->  BF01 = {_sided(pair.bf2, d, 0.0, 1.0)}  "
+        f"(favours H0), P(H0 | data) = {_sided(post2, d, 0.0, 0.5, 1.0)}",
         "same data, same hypotheses: the direction of evidence is set by "
         "the prior scale alone.",
     ]

@@ -66,7 +66,9 @@ def find_root(f: Callable[[float], float], lo: float, hi: float,
         # false position, formed from the end with the smaller |f| so that it
         # does not round away, and at least tol from b so the bracket closes
         r = fa / fb  # < 0: fb is never 0 here
-        if r <= -1.0:
+        if r == -1.0:  # f saturates at both ends: bisect in float order
+            c = _midpoint(a, b)
+        elif r < -1.0:
             c = b + 2.0 * m / (1.0 - r)
         else:
             c = a - 2.0 * m * (r / (r - 1.0))

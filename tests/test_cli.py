@@ -315,6 +315,36 @@ def test_human_output_prints_no_nonzero_scale_as_zero(argv, precision):
     assert all(float(s) > 0.0 for s in scales), text
 
 
+@settings(max_examples=200, deadline=None)
+@given(z=Z, n=N, prior=st.sampled_from(["normal", "cauchy"]), scale=SCALE,
+       precision=st.integers(0, 8))
+# k 0.0000, bf01 1.0000 and log_bf01 -0.0000 beside "favours H1"
+@example(z=2.0, n=50, prior="normal", scale=1e-4, precision=4)
+# p_h0 0.5000 beside "favours H1"
+@example(z=2.0, n=50, prior="cauchy", scale=0.707, precision=4)
+def test_bf_human_text_prints_no_number_across_its_label(z, n, prior, scale, precision):
+    """Human bf text, parsed, against the same run's JSON: unless the
+    direction is neutral, bf01, log_bf01 and p_h0 print on the side of 1,
+    0 and 1/2 that it names, and at 0 (or p_h0 at 1) only where they are;
+    k prints as 0 nowhere it is positive."""
+    argv = ["bf", "--z", repr(z), "--n", str(n), "--prior", prior, "--scale", repr(scale)]
+    code, text = run_in_process(*argv, "--precision", str(precision))
+    if code != 0:
+        return
+    shown = {line.split()[0]: line.split()[1] for line in text.splitlines()}
+    code, out = run_in_process(*argv, "--format", "json")
+    exact = json.loads(out)
+    assert code == 0 and shown["direction"] == exact["direction"].split("_")[0]
+    if prior == "normal" and exact["k"] > 0.0:
+        assert float(shown["k"]) > 0.0, text
+    if exact["direction"] == "neutral":
+        return
+    for name, key, marks in (("bf01", "bf01", (0.0, 1.0)), ("log_bf01", "log_bf01", (0.0,)),
+                             ("p_h0", "posterior_prob_h0", (0.0, 0.5, 1.0))):
+        v, x = float(shown[name]), exact[key]
+        assert all((v > m) - (v < m) == (x > m) - (x < m) for m in marks), (name, text)
+
+
 class TestSweepCommand:
     def test_direction_changes_once_with_trailing_flip_row(self):
         cp = run_cli("sweep", "--z", "2", "--n", "50", "--prior", "normal",
@@ -510,8 +540,9 @@ class TestParadoxCommand:
     @example(z=2.0, sign=1.0, n=10**8, spread=0.01, precision=4)
     def test_printed_text_shows_what_it_claims(self, z, sign, n, spread, precision):
         """Human paradox text, parsed: printed tau1 < tau* < tau2, each
-        printed BF01 on its label's side of 1, and bf at each printed tau
-        gives the printed direction."""
+        printed BF01 on its label's side of 1 and each posterior on its
+        side of 1/2, neither at 0 or 1, and bf at each printed tau gives
+        the printed direction."""
         setup = ["--z", repr(sign * z), "--n", str(n)]
         code, text = run_in_process("paradox", *setup, "--spread", repr(spread),
                                     "--precision", str(precision))
@@ -522,9 +553,10 @@ class TestParadoxCommand:
         for analyst, label in ((1, "H1"), (2, "H0")):
             line = next(ln for ln in text.splitlines() if ln.startswith(f"analyst {analyst}:"))
             words = line.split()
-            tau, bf = float(words[4]), float(words[8])
-            assert f"(favours {label})" in line
-            assert bf < 1.0 if label == "H1" else bf > 1.0, line
+            tau, bf, post = float(words[4]), float(words[8]), float(words[-1])
+            assert f"(favours {label}), P(H0 | data) = {words[-1]}" in line
+            assert 0.0 < bf < 1.0 if label == "H1" else bf > 1.0, line
+            assert 0.0 < post < 0.5 if label == "H1" else 0.5 < post < 1.0, line
             code, out = run_in_process("bf", *setup, "--scale", words[4], "--format", "json")
             assert code == 0 and json.loads(out)["direction"] == f"favours_{label.lower()}", line
             taus.append(tau)

@@ -116,6 +116,15 @@ class TestFindRoot:
         assert lo <= x <= hi
         assert abs(x / root - 1.0) <= 1e-11
 
+    @pytest.mark.parametrize("f", [math.tanh, math.erf, math.atan,
+                                   lambda t: math.copysign(1.0, t)])
+    def test_saturating_f_over_a_wide_bracket(self, f):
+        # f is -1 and +1 at the ends, so false position took the arithmetic
+        # midpoint: 200 halvings from 1e300 never got near 3
+        x = find_root(lambda t: f(t - 3.0), -1e200, 1e300)
+        assert -1e200 <= x <= 1e300
+        assert abs(x / 3.0 - 1.0) <= 1e-12
+
     @pytest.mark.parametrize("a,b", [(-1e308, 1e308), (1e-300, 1e300), (-1e-300, -1e300),
                                      (-5e-324, 5e-324), (0.0, 1.0), (1.0, 3.0), (-2.0, -7.0)])
     def test_midpoint_lies_strictly_between(self, a, b):

@@ -408,79 +408,45 @@ class TestInputs:
                     assert math.isfinite(res.log_bf01)
 
 
-class TestWeidemanCoefficients:
-    def test_literals_match_regeneration(self):
-        """Weideman (1994): the N coefficients of p from the FFT of
-        exp(-t^2) (L^2 + t^2) sampled at t = L tan(theta/2)."""
-        n = len(_kernels._WEIDEMAN_A)
-        m = 2 * n
-        L = math.sqrt(n / math.sqrt(2.0))
-        t = L * np.tan(np.arange(-m + 1, m) * np.pi / m / 2.0)
-        f = np.concatenate([[0.0], np.exp(-t * t) * (L * L + t * t)])
-        a = np.real(np.fft.fft(np.fft.fftshift(f))) / (2 * m)
-        assert _kernels._WEIDEMAN_L == pytest.approx(L, rel=1e-15)
-        np.testing.assert_allclose(_kernels._WEIDEMAN_A, a[1:n + 1][::-1], rtol=0, atol=1e-15)
-
-
-def horner_weideman(x, y):
-    """w(x + iy) from the Weideman rational with p(Z) summed by complex
-    Horner: the reference for the kernel's Goertzel sum."""
-    d = complex(_kernels._WEIDEMAN_L + y, -x)
-    big_z = complex(_kernels._WEIDEMAN_L - y, x) / d
-    p = 0j
-    for a in _kernels._WEIDEMAN_A:
-        p = p * big_z + a
-    return 2.0 * p / (d * d) + _kernels._INV_SQRT_PI / d
-
-
-def mp_weideman(x, y):
-    """The same rational, with the same float coefficients, at 40 digits."""
-    with mpmath.workdps(40):
-        zeta = mpmath.mpc(x, y)
-        d = _kernels._WEIDEMAN_L - 1j * zeta
-        big_z = (_kernels._WEIDEMAN_L + 1j * zeta) / d
-        p = mpmath.mpc(0)
-        for a in _kernels._WEIDEMAN_A:
-            p = p * big_z + a
-        return complex(2 * p / (d * d) + 1 / (mpmath.sqrt(mpmath.pi) * d))
-
-
-class TestWeidemanSum:
-    """The kernel sums p(Z) by the real Goertzel recurrence and returns
-    the pair (Re w, Im w), assembled in real arithmetic.  Near Z = 1
-    (zeta -> 0) its quadratic has a double root, and it loses a little
-    more than Horner: ~1.8e-15 relative in w from the exact rational,
-    where Horner stays near 1.0e-15, so the two differ by up to ~1.7e-15."""
+class TestTrapezoidalRoute:
+    """Inside |zeta| < 7 the kernel sums the modified trapezoidal rule on
+    one of two node grids, chosen by x / h mod 1 (h = 1/2), plus a pole
+    correction.  A rational approximation of w loses Re w where it is a
+    tiny share of |w|, near the real axis; the sum of positive terms keeps it."""
 
     @staticmethod
     def points():
-        """The Weideman route (|zeta| < 7 off the real-axis strip y <= 0.5,
-        x >= 2), zeta -> 0 from every direction, and the real axis from
-        x = 2 on, where the real-axis route takes F(x) from Im w."""
-        rng = np.random.default_rng(14)
-        x, y = rng.uniform(0.0, 7.0, 6000), rng.uniform(0.0, 7.0, 6000)
-        keep = (x * x + y * y < 49.0) & ~((y <= 0.5) & (x >= 2.0))
-        pts = list(zip(x[keep], y[keep]))
-        pts += zip(10.0 ** rng.uniform(-12, 0, 1500), 10.0 ** rng.uniform(-12, 0, 1500))
-        pts += zip(10.0 ** rng.uniform(-12, 0, 1000), rng.uniform(0.0, 6.9, 1000))
-        pts += zip(rng.uniform(0.0, 2.0, 1000), 10.0 ** rng.uniform(-12, 0, 1000))
-        pts += [(float(a), 0.0) for a in rng.uniform(2.0, 7.0, 1000)]
-        pts += [(0.0, 0.0), (0.0, 5e-324), (5e-324, 0.0), (2.0, 0.0), (0.0, 6.99)]
-        return [(float(a), float(b)) for a, b in pts]
+        rng = np.random.default_rng(15)
+        pts = []
+        # the quarter disc, uniformly
+        r, th = 7.0 * np.sqrt(rng.uniform(0.0, 1.0, 1500)), rng.uniform(0.0, math.pi / 2, 1500)
+        pts += zip(r * np.cos(th), r * np.sin(th))
+        # y log-uniform down to 1e-320
+        x = rng.uniform(0.0, 7.0, 800)
+        pts += zip(x, 10.0 ** rng.uniform(-320.0, np.log10(np.sqrt(49.0 - x * x)), 800))
+        # x near the nodes of both grids (k / 4) and the grid switches (k / 2 +- 1 / 8)
+        x = np.repeat(np.arange(56) / 8.0, 20)
+        x += rng.choice([-1.0, 1.0], x.size) * 10.0 ** rng.uniform(-16.0, -2.0, x.size)
+        pts += zip(np.abs(x), 10.0 ** rng.uniform(-12.0, 0.5, x.size))
+        # subnormal x
+        pts += zip(10.0 ** rng.uniform(-323.5, -308.0, 300), 10.0 ** rng.uniform(-12.0, 0.8, 300))
+        # r^2 from 1e-16 to 1e-3 below 49, the larger of x and y stepped
+        # down until x^2 + y^2 < 49
+        r = np.sqrt(49.0 - 10.0 ** rng.uniform(-16.0, -3.0, 600))
+        th = rng.uniform(0.0, math.pi / 2, 600)
+        for x, y in zip(r * np.cos(th), r * np.sin(th)):
+            x, y = float(x), float(y)
+            while x * x + y * y >= 49.0:
+                x, y = (math.nextafter(x, 0.0), y) if x > y else (x, math.nextafter(y, 0.0))
+            pts.append((x, y))
+        pts = [(float(a), float(b)) for a, b in pts]
+        return [(a, b) for a, b in pts if b > 0.0 and a * a + b * b < 49.0]
 
-    def test_goertzel_matches_complex_horner(self):
-        worst = 0.0
-        for x, y in self.points():
-            want = horner_weideman(x, y)
-            worst = max(worst, abs(complex(*_kernels._weideman(x, y)) - want) / abs(want))
-        assert worst <= 2e-15
-
-    def test_both_sums_against_the_exact_rational(self):
-        worst_goertzel = worst_horner = 0.0
-        for x, y in self.points()[::8]:
-            want = mp_weideman(x, y)
-            got = complex(*_kernels._weideman(x, y))
-            worst_goertzel = max(worst_goertzel, abs(got - want) / abs(want))
-            worst_horner = max(worst_horner, abs(horner_weideman(x, y) - want) / abs(want))
-        assert worst_horner <= 1.5e-15
-        assert worst_goertzel <= 2e-15
+    def test_dense_against_mpmath(self):
+        pts = self.points()
+        assert len(pts) >= 4000
+        with mpmath.workdps(40):
+            worst = max((abs(_kernels.log_re_faddeeva(x, y)
+                             - float(mpmath.log(mp_re_w(mpmath.mpf(x), mpmath.mpf(y))))), x, y)
+                        for x, y in pts)
+        assert worst[0] <= 1e-14, worst
