@@ -6,8 +6,9 @@ which the direction of evidence reverses, and reversal-pair construction
 showing that one dataset can support both hypotheses depending only on
 the prior scale.
 
-The numerical kernels are pure Python; ``bayesflip.KERNEL_BACKEND`` is
-always ``"pure"``.
+The numerical kernels are pure Python, each in the module that calls it;
+``bayesflip.KERNEL_BACKEND`` is always ``"pure"`` and stays only because
+the benchmark, ``perfbench/run.py``, reads it.
 
 The public names below, and the submodules, are imported on first access
 (PEP 562), so ``import bayesflip`` loads nothing else and a command-line

@@ -31,6 +31,7 @@ from .bayes_factor import Direction, NormalPrior, TestSetup, bf01, posterior_pro
 from .errors import BayesFlipError
 
 _MAX_POINTS = 10_000  # rows are held in memory: figure1 JSON peaks at 63 MB RSS here
+_MAX_PRECISION = 1074  # every double ends within 1074 decimal places (2^-1074 does)
 
 _DIRECTION_TEXT = {
     Direction.FAVOURS_H1: "favours H1",
@@ -148,6 +149,8 @@ def _validate(args: argparse.Namespace) -> None:
     parser = args.parser
     if "precision" in params and args.precision < 0:
         parser.error("--precision must be nonnegative")
+    if params.get("precision", 0) > _MAX_PRECISION:
+        parser.error(f"--precision must be <= {_MAX_PRECISION}, got {args.precision}")
     for key in ("z", "scale", "scale_min", "scale_max"):
         if key in params and not math.isfinite(params[key]):
             parser.error(f"--{key.replace('_', '-')} must be finite, got {params[key]}")

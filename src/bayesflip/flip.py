@@ -7,7 +7,8 @@ BF01(z; k*) = 1, the solution of
 
 Below k* the evidence favours H1, above it H0.  The module computes k*
 by two independent routes (a bracketed root solve and the Lambert-W
-closed form exp(W0(-z^2 e^{-z^2}) + z^2) - 1), exposes the strictly
+closed form exp(W0(-z^2 e^{-z^2}) + z^2) - 1, with W0 from the log-space
+kernel ``log_neg_w0``), exposes the strictly
 increasing map phi(k) = (1+k) log(1+k) / k whose inverse at z^2 is k*,
 converts k* to the critical prior standard deviation sqrt(k*/n), and
 builds/validates scale pairs that reverse the direction of evidence.
@@ -21,8 +22,7 @@ from enum import Enum
 from ._record import record
 from .bayes_factor import (_DBL_MAX, _LOG_DBL_MAX, NEUTRAL_LOG_BAND, Direction, NormalPrior,
                            TestSetup, _check_sample_size, bf01, bf_argmin_k)
-from .errors import ConvergenceError, DomainError, NoFlipPoint, NotAReversal
-from ._kernels import _EXCESS_SERIES_X, _expm1_excess, log_neg_w0
+from .errors import ConvergenceError, DomainError, MaxIterExceeded, NoFlipPoint, NotAReversal
 from .numerics import find_root
 
 __all__ = [
@@ -49,6 +49,14 @@ _RESIDUAL_BOUND = 1e-9
 # Below this k, phi(k) - 1 comes from its Taylor series (truncation error
 # below 1e-17 relative); above it the closed form loses at most ~1e-13.
 _PHI_SERIES_K = 0.01
+
+# expm1(x) - x comes from its Taylor series (``_expm1_excess``) where |x|
+# is below this, since the difference cancels there
+_EXCESS_SERIES_X = 0.25
+# a Newton step below 2^-27 relative leaves at most 2^-55 (the convergence
+# is quadratic, with constant at most 1/2 in relative terms)
+_W0_STEP_TOL = 2.0 ** -27
+_W0_MAX_STEPS = 8
 
 
 FlipPointResult = record(
@@ -95,6 +103,47 @@ def _phi_minus_one(k: float) -> float:
         return k * (1 / 2 - k * (1 / 6 - k * (1 / 12 - k * (1 / 20 - k * (
             1 / 30 - k * (1 / 42 - k * (1 / 56 - k / 72)))))))
     return (1.0 + k) / k * math.log1p(k) - 1.0
+
+
+def _expm1_excess(x: float) -> float:
+    """expm1(x) - x for |x| < 1/4, by its Taylor series to x^13 / 13!
+    (the first omitted term is below 2e-18 relative)."""
+    return x * x * (1 / 2 + x * (1 / 6 + x * (1 / 24 + x * (1 / 120 + x * (1 / 720 + x * (
+        1 / 5040 + x * (1 / 40320 + x * (1 / 362880 + x * (1 / 3628800 + x * (
+            1 / 39916800 + x * (1 / 479001600 + x / 6227020800)))))))))))
+
+
+def log_neg_w0(d: float) -> float:
+    """log(-W0(x)) for x = -exp(-1 - d), i.e. for log(-x) a distance d >= 0
+    below log(1/e); W0 >= -1 is the principal branch of w e^w = x.
+
+    Taking the argument as d keeps every digit near the branch point
+    x = -1/e (d = 0, W0 = -1), where x itself would round them away, and
+    never underflows for tiny -x.  With l = log(-W0), w e^w = x reads
+    expm1(l) - l = d, whose root l <= 0 is found by Newton's method from
+    -sqrt(2d) - d/3 below d = 1 (the branch-point series; Corless et al.,
+    Adv. Comput. Math. 5:329, 1996, sec. 4) and from -1 - d (the
+    asymptote) above it; expm1(l) - l comes from its own series where
+    |l| < 1/4.  The iterates approach the root from below after the first
+    step and stop once a step is under 2^-27 relative: at most 4 steps
+    over [5e-324, 1e300], within 4.2e-16 of mpmath.  Raises DomainError
+    for a negative, infinite or nan d, MaxIterExceeded past 8 steps.
+    """
+    if not 0.0 <= d < math.inf:  # nan fails too
+        raise DomainError(f"log_neg_w0 domain is 0 <= d < inf; got d = {d}")
+    if d < 1.0:
+        ell = -math.sqrt(2.0 * d) - d / 3.0
+        if d < 1e-16:  # the start, off by about d / 18 relative, is exact
+            return ell
+    else:
+        ell = -1.0 - d
+    for _ in range(_W0_MAX_STEPS):
+        em1 = math.expm1(ell)
+        step = ((em1 - ell if ell <= -_EXCESS_SERIES_X else _expm1_excess(ell)) - d) / em1
+        ell -= step
+        if abs(step) <= _W0_STEP_TOL * -ell:
+            return ell
+    raise MaxIterExceeded(f"log_neg_w0 did not converge at d = {d}")
 
 
 def _lambert_k(t: float) -> float:

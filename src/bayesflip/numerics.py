@@ -38,7 +38,8 @@ def find_root(f: Callable[[float], float], lo: float, hi: float,
     continuous sign-changing f converges, also across many binades.
 
     Stops when the enclosing interval narrows below max(abs_tol, 1e-12 *
-    |x|); abs_tol is an absolute floor for roots near zero, and 0 stops on
+    |x|), or to two adjacent floats, and returns the end with the smaller
+    |f|; abs_tol is an absolute floor for roots near zero, and 0 stops on
     the relative width alone.  Any finite bracket is taken, even one wider
     than the largest float, and the result always lies inside it.  Raises
     DomainError unless lo < hi and abs_tol >= 0, NoSignChange if f(lo)
@@ -61,7 +62,9 @@ def find_root(f: Callable[[float], float], lo: float, hi: float,
     for _ in range(_MAX_ITER):
         tol = 0.5 * max(abs_tol, _REL_TOL * abs(b))
         m = 0.5 * a - 0.5 * b  # a - b can overflow; halving a normal float is exact
-        if abs(m) <= tol:  # b may be the point taken tol past the root
+        # b may be the point taken tol past the root; adjacent ends can close
+        # no further, where tol is below the spacing of subnormals
+        if abs(m) <= tol or math.nextafter(b, a) == a:
             return b if abs(fb) <= abs(fa) else a
         # false position, formed from the end with the smaller |f| so that it
         # does not round away, and at least tol from b so the bracket closes

@@ -149,6 +149,8 @@ SWEEP = ("sweep", "--z", "2", "--n", "50")
 USAGE_ERRORS = [
     (("bf", "--z", "2", "--n", "50", "--scale", "1", "--precision", "-1"),
      "--precision must be nonnegative"),
+    (("bf", "--z", "2", "--n", "50", "--scale", "1", "--precision", "99999999999"),
+     "--precision must be <= 1074, got 99999999999"),
     (("bf", "--z", "2", "--n", "0", "--scale", "1"), "--n must be >= 1"),
     (("paradox", "--z", "2", "--n", "50", "--spread", "1"), "--spread must lie in (0, 1)"),
     ((*SWEEP, "--scale-min", "-1", "--scale-max", "1"), "prior scales must be positive"),

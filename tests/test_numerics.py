@@ -8,10 +8,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from bayesflip import _kernels, numerics
-from bayesflip._kernels import log_neg_w0
+from bayesflip import flip, numerics
 from bayesflip.errors import DomainError, MaxIterExceeded, NoSignChange
-from bayesflip.flip import FlipMethod, flip_point
+from bayesflip.flip import FlipMethod, flip_point, log_neg_w0
 from bayesflip.numerics import find_root
 
 
@@ -125,6 +124,14 @@ class TestFindRoot:
         assert -1e200 <= x <= 1e300
         assert abs(x / 3.0 - 1.0) <= 1e-12
 
+    def test_sign_change_between_adjacent_subnormals(self):
+        # with abs_tol 0 the relative width test asks for less than the
+        # subnormal spacing, so the bracket stopped at one ulp and ran out
+        lo, hi, root = -1e-300, 9.735225980225838e32, 2.7e-322
+        x = find_root(lambda t: -1.0 if t < root else 1.0, lo, hi, 0.0)
+        assert lo <= x <= hi
+        assert x in (math.nextafter(root, 0.0), root)
+
     @pytest.mark.parametrize("a,b", [(-1e308, 1e308), (1e-300, 1e300), (-1e-300, -1e300),
                                      (-5e-324, 5e-324), (0.0, 1.0), (1.0, 3.0), (-2.0, -7.0)])
     def test_midpoint_lies_strictly_between(self, a, b):
@@ -191,12 +198,12 @@ class TestLambertW:
             assert math.expm1(ell) - ell == pytest.approx(d, rel=1e-11)
 
     def test_four_newton_steps_suffice(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "_W0_MAX_STEPS", 4)
+        monkeypatch.setattr(flip, "_W0_MAX_STEPS", 4)
         for d in np.concatenate([np.logspace(-300.0, 300.0, 601), np.linspace(0.0, 40.0, 801)]):
             log_neg_w0(float(d))
 
     def test_max_steps_exceeded(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "_W0_MAX_STEPS", 1)
+        monkeypatch.setattr(flip, "_W0_MAX_STEPS", 1)
         with pytest.raises(MaxIterExceeded, match="at d = 1.0"):
             log_neg_w0(1.0)
 

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from scipy.special import wofz
 
-from bayesflip import _kernels, cauchy
+from bayesflip import cauchy
 from bayesflip.bayes_factor import TestSetup
-from bayesflip.cauchy import Z_CRIT, CauchyPrior, bf01_cauchy, cauchy_flip_scale
+from bayesflip.cauchy import (Z_CRIT, CauchyPrior, bf01_cauchy, cauchy_flip_scale,
+                              log_re_faddeeva)
 from bayesflip.errors import ConvergenceError, DomainError, NoFlipPoint
 
 from _oracles import quad_log_bf01
@@ -112,15 +113,15 @@ class TestAgainstMpmath:
                 series = mpmath.re(1j * total / zeta) / mpmath.sqrt(mpmath.pi)
                 mx, my = mpmath.mpf(x), mpmath.mpf(y)
                 want = mpmath.log(mpmath.exp(my * my - mx * mx) * mpmath.cos(2 * mx * my) + series)
-            assert _kernels.log_re_faddeeva(x, y) == pytest.approx(float(want), abs=1e-12)
+            assert log_re_faddeeva(x, y) == pytest.approx(float(want), abs=1e-12)
         # and against the true value, from erfc with y/|zeta| more digits
         # (log Re w(27, 1e-310) = -720.96303158831, at 362 digits)
         for x, y in ((27.0, 1e-310), (7.5, 1e-300), (1e4, 1e-305)):
             with mpmath.workdps(MP_DPS):
                 want = mpmath.log(mp_re_w(mpmath.mpf(x), mpmath.mpf(y)))
-            assert _kernels.log_re_faddeeva(x, y) == pytest.approx(float(want), abs=1e-12)
+            assert log_re_faddeeva(x, y) == pytest.approx(float(want), abs=1e-12)
         # the least subnormal y: Re w ~ y / (sqrt(pi) x^2) is not a float
-        assert math.isfinite(_kernels.log_re_faddeeva(30.0, 5e-324))
+        assert math.isfinite(log_re_faddeeva(30.0, 5e-324))
 
 
 class TestAgainstWofz:
@@ -221,7 +222,7 @@ class TestFlipScale:
 
         def recording(x, y):
             seen.append((x, y))
-            return _kernels.log_re_faddeeva(x, y)
+            return log_re_faddeeva(x, y)
 
         monkeypatch.setattr(cauchy, "log_re_faddeeva", recording)
         for z in self.Z:
@@ -262,7 +263,7 @@ class TestFlipScale:
         def counting(x, y):
             nonlocal calls
             calls += 1
-            return _kernels.log_re_faddeeva(x, y)
+            return log_re_faddeeva(x, y)
 
         monkeypatch.setattr(cauchy, "log_re_faddeeva", counting)
         for zs, walk in (([1.5 + i / 16 for i in range(41)], 259),
@@ -335,7 +336,7 @@ def _points_on_circle(r2, y_near):
 
 
 # the term-count thresholds of the asymptotic route, falling
-SERIES_R2 = tuple(-t for t in _kernels._NEG_SERIES_R2)
+SERIES_R2 = tuple(-t for t in cauchy._NEG_SERIES_R2)
 
 
 class TestAsymptoticBorders:
@@ -344,17 +345,17 @@ class TestAsymptoticBorders:
     each side of y = 1, where the exp(-zeta^2) term joins."""
 
     # the route's start, an accuracy point between thresholds, and the thresholds
-    THRESHOLDS = (_kernels._ASYMPTOTIC_R2, 2048.0,
-                  *(t for t in SERIES_R2 if t >= _kernels._ASYMPTOTIC_R2))
+    THRESHOLDS = (cauchy._ASYMPTOTIC_R2, 2048.0,
+                  *(t for t in SERIES_R2 if t >= cauchy._ASYMPTOTIC_R2))
 
     def test_thresholds_are_where_one_term_fewer_suffices(self):
         table = SERIES_R2
-        assert table[-1] <= _kernels._ASYMPTOTIC_R2 < table[-2]
+        assert table[-1] <= cauchy._ASYMPTOTIC_R2 < table[-2]
         for k, t in enumerate(table):
             assert _series_terms_needed(t * (1 + 1e-14)) == k
             assert _series_terms_needed(t * (1 - 1e-14)) == k + 1
-        assert len(_kernels._HORNER) == len(table)
-        for k, coeffs in enumerate(_kernels._HORNER):
+        assert len(cauchy._HORNER) == len(table)
+        for k, coeffs in enumerate(cauchy._HORNER):
             c = [1.0]
             for j in range(1, k + 1):
                 c.append(c[-1] * (2 * j - 1) / 2)
@@ -362,7 +363,7 @@ class TestAsymptoticBorders:
 
     @staticmethod
     def bisected_terms(r2):
-        return bisect_left(_kernels._NEG_SERIES_R2, -r2)
+        return bisect_left(cauchy._NEG_SERIES_R2, -r2)
 
     def test_bisected_term_count_is_the_least_that_suffices(self):
         for m in range(49, 2048):
@@ -384,7 +385,7 @@ class TestAsymptoticBorders:
             for x, y in _points_on_circle(r2_side, y_near):
                 with mpmath.workdps(MP_DPS):
                     want = mpmath.log(mp_re_w(mpmath.mpf(x), mpmath.mpf(y)))
-                worst = max(worst, abs(_kernels.log_re_faddeeva(x, y) - float(want)))
+                worst = max(worst, abs(log_re_faddeeva(x, y) - float(want)))
         assert worst <= 1e-13
 
 
@@ -398,7 +399,7 @@ class TestInputs:
     @pytest.mark.parametrize("y", [5e-324, 0.5, 0.999])
     def test_kernel_takes_every_finite_x(self, x, y):
         # 2xy used to overflow on the real-axis term, and cos(inf) raised
-        assert math.isfinite(_kernels.log_re_faddeeva(x, y))
+        assert math.isfinite(log_re_faddeeva(x, y))
 
     def test_finite_over_the_user_domain(self):
         for z in (0.0, 1.96, 8.0, 40.0):
@@ -446,7 +447,7 @@ class TestTrapezoidalRoute:
         pts = self.points()
         assert len(pts) >= 4000
         with mpmath.workdps(40):
-            worst = max((abs(_kernels.log_re_faddeeva(x, y)
+            worst = max((abs(log_re_faddeeva(x, y)
                              - float(mpmath.log(mp_re_w(mpmath.mpf(x), mpmath.mpf(y))))), x, y)
                         for x, y in pts)
         assert worst[0] <= 1e-14, worst
