@@ -47,8 +47,8 @@ Table = record(
     cells (see ``_writers``).  Report records are rows as they are.""")
 
 def _scale_text(x: float, d: int) -> str:
-    """A prior scale at d decimals, widened below 1 to max(1, d) significant
-    digits where d decimals show fewer, so no nonzero scale prints as 0."""
+    """A prior scale, k or k* at d decimals, widened below 1 to max(1, d)
+    significant digits where d decimals show fewer, so none prints as 0."""
     e = max(1, d) - 1 - math.floor(math.log10(x)) if 0.0 < x < 1.0 else d
     return f"{x:.{max(d, e)}f}"
 
@@ -230,7 +230,7 @@ def _cmd_flip(args: argparse.Namespace) -> tuple:
     lines = [f"z            {args.z:.{d}f}"]
     for r, ts in zip(results, taus):
         tau_text = "" if ts is None else f"   tau*(n={n}) = {_scale_text(ts, d)}"
-        lines.append(f"k* ({r.method.value:9s}) = {r.k_star:.{d}f}   "
+        lines.append(f"k* ({r.method.value:9s}) = {_scale_text(r.k_star, d)}   "
                      f"residual = {r.residual:.2e}{tau_text}")
     if len(results) == 2:
         rel = abs(results[0].k_star - results[1].k_star) / results[0].k_star
@@ -351,7 +351,7 @@ def _cmd_paradox(args: argparse.Namespace) -> tuple:
     tau_star = _shown(pair.tau_star, d, lambda t: float(tau1) < t < float(tau2))
     lines = [
         f"z = {setup.z:.{d}f}, n = {setup.n}",
-        f"flip point k* = {k_star:.{d}f}; critical prior sd tau* = {tau_star}",
+        f"flip point k* = {_scale_text(k_star, d)}; critical prior sd tau* = {tau_star}",
         f"analyst 1: tau = {tau1}  ->  BF01 = {_sided(pair.bf1, d, 0.0, 1.0)}  "
         f"(favours H1), P(H0 | data) = {_sided(post1, d, 0.0, 0.5, 1.0)}",
         f"analyst 2: tau = {tau2}  ->  BF01 = {_sided(pair.bf2, d, 0.0, 1.0)}  "

@@ -22,7 +22,7 @@ from bayesflip.bayes_factor import (
 from bayesflip.cauchy import CauchyPrior, bf01_cauchy, cauchy_flip_scale
 from bayesflip.flip import FlipMethod, flip_point, phi, phi_inverse, tau_star
 
-from _oracles import quad_log_bf01
+from _reference import quad_log_bf01
 
 Z_GRID = (1.1, 1.5, 1.96, 2.0, 2.5, 3.0, 4.0, 5.0)
 

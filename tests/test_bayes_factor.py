@@ -5,7 +5,6 @@ import math
 import re
 import sys
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -23,6 +22,9 @@ from bayesflip.bayes_factor import (
 )
 from bayesflip.errors import DomainError
 from bayesflip.flip import tau_star
+
+from _reference import (mp_abs_err, mp_bf_argmin_k, mp_dlogbf_dk, mp_log_bf01_normal,
+                        mp_posterior_h0, mp_rel_err)
 
 
 class TestSetupAndPrior:
@@ -89,14 +91,10 @@ class TestLogBf01:
         forming z^2 k / (2 (1+k)) there dropped the z^2 term."""
         dbl_max = sys.float_info.max
         ks = [float(k) for k in np.logspace(-300, 308, 153)] + [1.05e308, dbl_max]
-        with mpmath.workdps(50):
-            for z in np.linspace(0.0, 40.0, 46):
-                z = float(z)
-                for k in ks:
-                    lead = mpmath.log1p(k) / 2
-                    quad = mpmath.mpf(z) ** 2 * k / (2 * (1 + mpmath.mpf(k)))
-                    ulp = math.ulp(float(max(lead, quad)))
-                    assert abs(log_bf01(z, k) - (lead - quad)) <= 4 * ulp, (z, k)
+        for z in map(float, np.linspace(0.0, 40.0, 46)):
+            for k in ks:
+                ref, larger = mp_log_bf01_normal(z, k)
+                assert mp_abs_err(log_bf01(z, k), ref) <= 4 * math.ulp(larger), (z, k)
 
 
 class TestBf01Wrapper:
@@ -141,14 +139,10 @@ class TestDerivative:
         """Within 1e-15 of the scale of its terms, (1+k + z^2) / (2 (1+k)^2),
         against 50 digits up to k = 1e300; (1+k)^2 overflows from
         k ~ 9.5e153 on, where the slope is about 1 / (2k), not 0."""
-        with mpmath.workdps(50):
-            for z in np.linspace(0.0, 40.0, 21):
-                for k in np.logspace(-300, 300, 121):
-                    z, k = float(z), float(k)
-                    kp1 = 1 + mpmath.mpf(k)
-                    ref = (kp1 - z * z) / (2 * kp1 ** 2)
-                    scale = (kp1 + z * z) / (2 * kp1 ** 2)
-                    assert abs(dlogbf_dk(z, k) - ref) <= 1e-15 * scale, (z, k)
+        for z in map(float, np.linspace(0.0, 40.0, 21)):
+            for k in map(float, np.logspace(-300, 300, 121)):
+                ref, scale = mp_dlogbf_dk(z, k)
+                assert mp_abs_err(dlogbf_dk(z, k), ref) <= 1e-15 * scale, (z, k)
         assert dlogbf_dk(2.0, 1e200) == pytest.approx(5e-201, rel=1e-15)
 
     def test_matches_central_finite_difference(self):
@@ -176,11 +170,9 @@ class TestArgminAndShape:
         rng = np.random.default_rng(3)
         zs = np.concatenate((1.0 + np.logspace(-15, -1, 300),
                              rng.uniform(1.0 + 1e-7, 40.0, 20_000)))
-        with mpmath.workdps(50):
-            for z in map(float, zs):
-                ref = mpmath.mpf(z) ** 2 - 1
-                assert abs(bf_argmin_k(z) / ref - 1) <= 2.5e-16, z
-                assert bf_argmin_k(-z) == bf_argmin_k(z)
+        for z in map(float, zs):
+            assert mp_rel_err(bf_argmin_k(z), mp_bf_argmin_k(z)) <= 2.5e-16, z
+            assert bf_argmin_k(-z) == bf_argmin_k(z)
 
     @pytest.mark.parametrize("z", [1.5, 2.0, 3.0])
     def test_unimodal_with_minimum_at_argmin(self, z):
@@ -245,10 +237,7 @@ class TestPosteriorProbability:
         z = 39.3 back into the floats."""
         res = bf01(TestSetup(50, z), NormalPrior(1.0))
         assert res.bf01 == 0.0
-        with mpmath.workdps(50):
-            bf = mpmath.exp(mpmath.mpf(res.log_bf01))
-            p = mpmath.mpf(pi0)
-            want = float(p * bf / (p * bf + 1 - p))
+        want = mp_posterior_h0(res.log_bf01, pi0)
         got = res.posterior_h0(pi0)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
         assert (got > 0.0) == nonzero

@@ -1,5 +1,5 @@
 """Cauchy-prior Bayes factors, the numerically located flip scale, and
-the scipy quadrature oracle of ``tests/_oracles.py`` against the normal
+the scipy quadrature oracle of ``tests/_reference.py`` against the normal
 closed form."""
 
 import math
@@ -13,7 +13,7 @@ from bayesflip.bayes_factor import NormalPrior, TestSetup, bf01, log_bf01
 from bayesflip.cauchy import CauchyPrior, bf01_cauchy, cauchy_flip_scale
 from bayesflip.errors import DomainError, NoFlipPoint
 
-from _oracles import quad_log_bf01
+from _reference import quad_log_bf01
 
 SETUP_Z2_N50 = TestSetup(n=50, z=2.0)
 

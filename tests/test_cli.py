@@ -303,17 +303,20 @@ def test_every_finite_input_is_strict_json_or_a_one_line_error(argv):
 @example(argv=["sweep", "--z", "2", "--n", "1000000000", "--scale-min", "1e-5",
                "--scale-max", "1e-3", "--points", "3"], precision=4)
 @example(argv=["bf", "--z", "2", "--n", "50", "--scale", "0.3"], precision=0)
+# k* = 4.0e-5 printed as 0.0000
+@example(argv=["flip", "--z", "1.00001"], precision=4)
 def test_human_output_prints_no_nonzero_scale_as_zero(argv, precision):
-    """Every prior scale in human text, parsed, is positive: scales print
-    with at least max(1, --precision) significant digits."""
+    """Every prior scale and k* in human text, parsed, is positive: they
+    print with at least max(1, --precision) significant digits."""
     code, text = run_in_process(*argv, "--precision", str(precision))
     if code != 0:
         return
     if argv[0] == "sweep":
         scales = [line.split()[1] for line in text.splitlines()[1:]]
     else:
-        scales = re.findall(r"(?:^scale +|tau\*?(?:\(n=\d+\))? = )(\S+)", text, re.MULTILINE)
-    assert scales or argv[0] == "flip"
+        scales = re.findall(r"(?:^scale +|tau\*?(?:\(n=\d+\))? = |k\* (?:\(\w+ *\) )?= )([^\s;]+)",
+                            text, re.MULTILINE)
+    assert scales
     assert all(float(s) > 0.0 for s in scales), text
 
 

@@ -1,11 +1,11 @@
 """Flip-point machinery: the phi bijection, the two independent routes
-to k*, critical prior scales, and reversal-pair construction."""
+to k* and the log-space Lambert W0 behind one of them, critical prior
+scales, and reversal-pair construction."""
 
 import math
 import re
 import sys
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,16 +13,20 @@ from hypothesis import given, settings, strategies as st
 from bayesflip import flip
 from bayesflip.bayes_factor import (NEUTRAL_LOG_BAND, Direction, NormalPrior, TestSetup,
                                     bf01, bf_argmin_k, log_bf01)
-from bayesflip.errors import DomainError, NoFlipPoint, NotAReversal
+from bayesflip.errors import DomainError, MaxIterExceeded, NoFlipPoint, NotAReversal
 from bayesflip.flip import (
     FlipMethod,
     flip_point,
+    log_neg_w0,
     phi,
     phi_inverse,
     reversal_pair,
     tau_star,
     validate_pair,
 )
+from bayesflip.numerics import find_root
+
+from _reference import mp_k_star, mp_log_neg_w0, mp_phi, mp_phi_inverse
 
 # the z grid used for cross-method and residual properties
 Z_GRID = (1.1, 1.5, 1.96, 2.0, 2.5, 3.0, 4.0, 5.0)
@@ -326,13 +330,6 @@ class TestValidatePair:
             validate_pair(TestSetup(n=50, z=2.0), 0.0, 1.5)
 
 
-def mp_k_star(z):
-    """k* = expm1(W0(-z^2 e^{-z^2}) + z^2) at 50 digits, from the float z."""
-    with mpmath.workdps(50):
-        z2 = mpmath.mpf(z) ** 2
-        return mpmath.expm1(mpmath.lambertw(-z2 * mpmath.exp(-z2)) + z2)
-
-
 class TestFlipPointDomainEdges:
     def test_near_one_matches_mpmath(self):
         # k* ~ 4 (z - 1): both sides of the flip equation cancel here
@@ -384,23 +381,10 @@ class TestFlipPointDomainEdges:
             flip_point(z, method)
 
 
-def mp_phi_inverse(y):
-    """The k with phi(k) = y at 50 digits, solved in u = log(1 + k) from the
-    float y, independently of the package's bracket and series."""
-    with mpmath.workdps(50):
-        y = mpmath.mpf(y)
-        u = mpmath.findroot(lambda u: u * mpmath.exp(u) / mpmath.expm1(u) - y,
-                            (y - 1, y + mpmath.mpf("0.5")), solver="anderson")
-        return mpmath.expm1(u)
-
-
 class TestPhiOverItsWholeDomain:
     def test_phi_matches_mpmath(self):
-        for k in np.logspace(-300, 308, 200):
-            k = float(k)
-            with mpmath.workdps(50):
-                ref = (1 + mpmath.mpf(k)) * mpmath.log1p(k) / k
-            assert abs(phi(k) / ref - 1) <= 3e-16, k
+        for k in map(float, np.logspace(-300, 308, 200)):
+            assert abs(phi(k) / mp_phi(k) - 1) <= 3e-16, k
 
     def test_phi_finite_up_to_the_largest_float(self):
         assert phi(1e306) == pytest.approx(704.591038456178, rel=1e-12)
@@ -519,3 +503,75 @@ class TestDefaultRoute:
         assert sweep_flip_row(setup).k == flip_point(z).k_star
         assert phi_inverse(z * z) == pytest.approx(flip_point(z).k_star, rel=1e-9)
         assert len(table_rows()) == 5 and len(figure_panel_a(2)) == 15
+
+
+class TestLambertW:
+    """log_neg_w0(d) = log(-W0(x)) at log(-x) = -1 - d, i.e. the root
+    l <= 0 of expm1(l) - l = d."""
+
+    def test_trivial_points(self):
+        """d = 5e-324, the least float, lies so close to the branch point
+        that the branch-point series -sqrt(2d) is exact."""
+        assert log_neg_w0(5e-324) == -math.sqrt(1e-323)
+        assert log_neg_w0(1e300) == -1e300  # W0 = -e^(-1 - d) to every digit
+
+    def test_branch_point(self):
+        assert log_neg_w0(0.0) == 0.0  # W0(-1/e) = -1
+        assert -math.exp(log_neg_w0(0.0)) == -1.0
+
+    def test_below_branch_point_rejected(self):
+        with pytest.raises(DomainError, match=r"got d = -1e-300"):
+            log_neg_w0(-1e-300)
+        with pytest.raises(DomainError, match=r"got d = -0.5"):
+            log_neg_w0(-0.5)
+        with pytest.raises(DomainError, match=r"got d = nan"):
+            log_neg_w0(float("nan"))
+
+    def test_infinite_input_names_x(self):
+        """The argument, d, is named."""
+        with pytest.raises(DomainError, match=r"log_neg_w0 domain is 0 <= d < inf; got d = inf"):
+            log_neg_w0(math.inf)
+
+    def test_flip_equation_consistency(self):
+        """The Lambert-W route of flip_point must reproduce the root of
+        (1+k)log(1+k) = 4k found independently by the bracketed solver."""
+        oracle = find_root(lambda k: (1.0 + k) * math.log1p(k) - 4.0 * k,
+                           3.0, 100.0)
+        fp = flip_point(2.0, FlipMethod.LAMBERT_W)
+        assert fp.method is FlipMethod.LAMBERT_W
+        assert fp.k_star == pytest.approx(oracle, rel=1e-9)
+        assert fp.k_star == pytest.approx(49.44, abs=0.01)
+
+    def test_defining_identity_across_domain(self):
+        """expm1(l) - l = d to rounding, 1000 samples over [1e-6, 1e3]."""
+        rng = np.random.default_rng(7)
+        for d in map(float, np.exp(rng.uniform(np.log(1e-6), np.log(1e3), 1000))):
+            ell = log_neg_w0(d)
+            assert ell <= 0.0
+            assert math.expm1(ell) - ell == pytest.approx(d, rel=1e-11)
+
+    def test_four_newton_steps_suffice(self, monkeypatch):
+        monkeypatch.setattr(flip, "_W0_MAX_STEPS", 4)
+        for d in np.concatenate([np.logspace(-300.0, 300.0, 601), np.linspace(0.0, 40.0, 801)]):
+            log_neg_w0(float(d))
+
+    def test_max_steps_exceeded(self, monkeypatch):
+        monkeypatch.setattr(flip, "_W0_MAX_STEPS", 1)
+        with pytest.raises(MaxIterExceeded, match="at d = 1.0"):
+            log_neg_w0(1.0)
+
+
+class TestLambertWAgainstMpmath:
+    """log(-W0) against mpmath within 1e-15 relative, with d, the distance
+    below the branch point, given exactly."""
+
+    def test_near_branch_point(self):
+        """d from the least float to 1, where the x-form W0 lost digits."""
+        ds = [5e-324, 1e-320, *np.logspace(-300.0, 0.0, 301), *np.linspace(0.0, 1.0, 201)[1:]]
+        worst = max(abs(log_neg_w0(d) / float(mp_log_neg_w0(d)) - 1.0) for d in map(float, ds))
+        assert worst <= 1e-15
+
+    def test_relative_error_across_domain(self):
+        ds = np.concatenate([np.logspace(-300.0, 300.0, 601), np.linspace(0.0, 40.0, 401)[1:]])
+        worst = max(abs(log_neg_w0(d) / float(mp_log_neg_w0(d)) - 1.0) for d in map(float, ds))
+        assert worst <= 1e-15

@@ -1,16 +1,15 @@
-"""Kernel checks: bracketed root finding, and the log-space Lambert W0
-against mpmath at 60 digits and more."""
+"""The bracketed root finder ``find_root``: its bracket and tolerance
+checks, and false position with the Anderson-Bjorck weight and a
+bisection guard over brackets up to the whole float range."""
 
 import math
 import sys
 
-import mpmath
 import numpy as np
 import pytest
 
-from bayesflip import flip, numerics
+from bayesflip import numerics
 from bayesflip.errors import DomainError, MaxIterExceeded, NoSignChange
-from bayesflip.flip import FlipMethod, flip_point, log_neg_w0
 from bayesflip.numerics import find_root
 
 
@@ -143,82 +142,3 @@ class TestFindRoot:
             assert 0.5 < abs(m) / math.sqrt(a * b) < 2.0
         else:  # across zero, or from it: near zero
             assert abs(m) < 1e-150
-
-
-def mp_log_neg_w0(d: float):
-    """log(-W0(-exp(-1 - d))) at 60 + max(0, -log10 d) digits: at 60 alone
-    mpmath cannot tell -1 - d from -1 for tiny d."""
-    with mpmath.workdps(60 + max(0, math.ceil(-math.log10(d)))):
-        return mpmath.log(-mpmath.lambertw(-mpmath.exp(-1 - mpmath.mpf(d))))
-
-
-class TestLambertW:
-    """log_neg_w0(d) = log(-W0(x)) at log(-x) = -1 - d, i.e. the root
-    l <= 0 of expm1(l) - l = d."""
-
-    def test_trivial_points(self):
-        """d = 5e-324, the least float, lies so close to the branch point
-        that the branch-point series -sqrt(2d) is exact."""
-        assert log_neg_w0(5e-324) == -math.sqrt(1e-323)
-        assert log_neg_w0(1e300) == -1e300  # W0 = -e^(-1 - d) to every digit
-
-    def test_branch_point(self):
-        assert log_neg_w0(0.0) == 0.0  # W0(-1/e) = -1
-        assert -math.exp(log_neg_w0(0.0)) == -1.0
-
-    def test_below_branch_point_rejected(self):
-        with pytest.raises(DomainError, match=r"got d = -1e-300"):
-            log_neg_w0(-1e-300)
-        with pytest.raises(DomainError, match=r"got d = -0.5"):
-            log_neg_w0(-0.5)
-        with pytest.raises(DomainError, match=r"got d = nan"):
-            log_neg_w0(float("nan"))
-
-    def test_infinite_input_names_x(self):
-        """The argument, d, is named."""
-        with pytest.raises(DomainError, match=r"log_neg_w0 domain is 0 <= d < inf; got d = inf"):
-            log_neg_w0(math.inf)
-
-    def test_flip_equation_consistency(self):
-        """The Lambert-W route of flip_point must reproduce the root of
-        (1+k)log(1+k) = 4k found independently by the bracketed solver."""
-        oracle = find_root(lambda k: (1.0 + k) * math.log1p(k) - 4.0 * k,
-                           3.0, 100.0)
-        fp = flip_point(2.0, FlipMethod.LAMBERT_W)
-        assert fp.method is FlipMethod.LAMBERT_W
-        assert fp.k_star == pytest.approx(oracle, rel=1e-9)
-        assert fp.k_star == pytest.approx(49.44, abs=0.01)
-
-    def test_defining_identity_across_domain(self):
-        """expm1(l) - l = d to rounding, 1000 samples over [1e-6, 1e3]."""
-        rng = np.random.default_rng(7)
-        for d in map(float, np.exp(rng.uniform(np.log(1e-6), np.log(1e3), 1000))):
-            ell = log_neg_w0(d)
-            assert ell <= 0.0
-            assert math.expm1(ell) - ell == pytest.approx(d, rel=1e-11)
-
-    def test_four_newton_steps_suffice(self, monkeypatch):
-        monkeypatch.setattr(flip, "_W0_MAX_STEPS", 4)
-        for d in np.concatenate([np.logspace(-300.0, 300.0, 601), np.linspace(0.0, 40.0, 801)]):
-            log_neg_w0(float(d))
-
-    def test_max_steps_exceeded(self, monkeypatch):
-        monkeypatch.setattr(flip, "_W0_MAX_STEPS", 1)
-        with pytest.raises(MaxIterExceeded, match="at d = 1.0"):
-            log_neg_w0(1.0)
-
-
-class TestLambertWAgainstMpmath:
-    """log(-W0) against mpmath within 1e-15 relative, with d, the distance
-    below the branch point, given exactly."""
-
-    def test_near_branch_point(self):
-        """d from the least float to 1, where the x-form W0 lost digits."""
-        ds = [5e-324, 1e-320, *np.logspace(-300.0, 0.0, 301), *np.linspace(0.0, 1.0, 201)[1:]]
-        worst = max(abs(log_neg_w0(d) / float(mp_log_neg_w0(d)) - 1.0) for d in map(float, ds))
-        assert worst <= 1e-15
-
-    def test_relative_error_across_domain(self):
-        ds = np.concatenate([np.logspace(-300.0, 300.0, 601), np.linspace(0.0, 40.0, 401)[1:]])
-        worst = max(abs(log_neg_w0(d) / float(mp_log_neg_w0(d)) - 1.0) for d in map(float, ds))
-        assert worst <= 1e-15

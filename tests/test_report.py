@@ -152,12 +152,13 @@ class TestSweep:
         assert rows[0].bf01 < rows[-1].bf01
 
     def test_cauchy_rows_equal_bf01_cauchy(self):
-        """n = 50, so y = Im zeta = 5r: with x = |z|/sqrt(2) the scales
-        cross the real-axis route (x >= 2, y <= 0.5), the Weideman
-        rational, the asymptotic series (|zeta| >= 7) and, at 1.7e308,
-        the large-gamma asymptote (sqrt(n) r overflows)."""
+        """n = 50, so y = Im zeta = 5r: with x = |z|/sqrt(2) the rows reach
+        each route of the kernel, the trapezoidal rule (|zeta| < 7), the
+        asymptotic series (|zeta| >= 7) and, at 1.7e308, the large-gamma
+        asymptote (sqrt(n) r overflows)."""
         scales = [1e-9, 1e-6, 0.01, 0.1, 0.3, 0.7, 1.0, 1.4, 3.0, 10.0, 1e3, 1e9, 1.7e308]
         assert math.isinf(math.sqrt(50) * scales[-1])
+        routes = set()
         for z in (0.0, 1.0, 3.0, -4.0, 9.0, 12.0, 38.0):
             setup = TestSetup(n=50, z=z)
             # below |z| ~ 2.9 BF01 overflows a float at the largest scale
@@ -169,6 +170,10 @@ class TestSweep:
                 assert (r.kind, r.k) == (ROW_POINT, None)
                 assert r.bf01 == res.bf01 and r.log_bf01 == res.log_bf01
                 assert r.direction == res.direction
+                x, y = abs(z) / math.sqrt(2), 5.0 * r.scale
+                routes.add("asymptote" if math.isinf(math.sqrt(50) * r.scale)
+                           else "series" if x * x + y * y >= 49.0 else "trapezoid")
+        assert routes == {"trapezoid", "series", "asymptote"}
 
     @pytest.mark.parametrize("family", ["normal", "cauchy"])
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])

@@ -1,6 +1,6 @@
 """Start-up stays lean: what each CLI command imports, checked by module
 name in fresh processes rather than by timing, plus the SVG escape that
-replaced ``xml.sax.saxutils``."""
+replaced ``xml.sax.saxutils``, and the test oracles' independence."""
 
 import importlib
 import inspect
@@ -48,6 +48,13 @@ def test_import_cli_loads_nothing_heavy():
     mods = loaded_by("import bayesflip.cli")
     assert "bayesflip.cli" in mods
     assert heavy_in(mods) == set()
+
+
+def test_reference_oracles_load_no_bayesflip():
+    """The oracles of ``tests/_reference.py`` share no code with the package."""
+    mods = loaded_by(f"sys.path.insert(0, {str(REPO / 'tests')!r})\nimport _reference")
+    assert "_reference" in mods
+    assert {m for m in mods if m.partition(".")[0] == "bayesflip"} == set()
 
 
 def package_modules() -> list[str]:

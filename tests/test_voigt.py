@@ -1,16 +1,14 @@
 """The closed-form Voigt (Faddeeva) route for Cauchy-prior Bayes factors
-and flip scales, against oracles that share none of its code: mpmath at
-50 digits, scipy's wofz, and the scipy quadrature of
-``tests/_oracles.py``."""
+and flip scales, against the oracles of ``tests/_reference.py``, which
+share none of its code: mpmath at 50 digits, scipy's wofz and scipy's
+quadrature."""
 
 import math
 import sys
 from bisect import bisect_left
 
-import mpmath
 import numpy as np
 import pytest
-from scipy.special import wofz
 
 from bayesflip import cauchy
 from bayesflip.bayes_factor import TestSetup
@@ -18,55 +16,9 @@ from bayesflip.cauchy import (Z_CRIT, CauchyPrior, bf01_cauchy, cauchy_flip_scal
                               log_re_faddeeva)
 from bayesflip.errors import ConvergenceError, DomainError, NoFlipPoint
 
-from _oracles import quad_log_bf01
-
-MP_DPS = 50
-
-
-def mp_re_w(x, y):
-    """Re w(x + iy) at the working precision.  exp(-zeta^2) erfc(-i zeta)
-    loses the phase 2xy once x*y nears 1e20 at 50 digits (checked against
-    scipy's wofz up to x*y = 6e14), so beyond 1e15 the Voigt integral
-    Re w = 1/(sqrt(pi) y) * int_0^inf exp(-s - s^2/(4y^2)) cos(xs/y) ds
-    is taken instead.  Re w is about y/|zeta| of |w| where y << x, so the
-    erfc form is taken with ceil(log10(|zeta|/y)) more digits."""
-    if x * y < 1e15:
-        zeta = mpmath.mpc(x, y)
-        extra = max(0, int(mpmath.ceil(mpmath.log10(abs(zeta) / y))))
-        with mpmath.workdps(mpmath.mp.dps + extra):
-            return mpmath.re(mpmath.exp(-zeta * zeta) * mpmath.erfc(-1j * zeta))
-    return mpmath.quad(lambda s: mpmath.exp(-s - s * s / (4 * y * y)) * mpmath.cos(x * s / y),
-                       [0, mpmath.inf]) / (mpmath.sqrt(mpmath.pi) * y)
-
-
-def mp_log_bf01(z, gamma):
-    with mpmath.workdps(MP_DPS):
-        x = abs(mpmath.mpf(z)) / mpmath.sqrt(2)
-        return float(-x * x - mpmath.log(mp_re_w(x, mpmath.mpf(gamma) / mpmath.sqrt(2))))
-
-
-def mp_log_gamma_star(z):
-    """log gamma*, gamma* = sqrt(n) r*: the upper root of log BF01 in log
-    gamma, bracketed by unit steps down from log(sqrt(2/pi) e^{z^2/2}) + 1."""
-    with mpmath.workdps(MP_DPS):
-        x = mpmath.mpf(z) / mpmath.sqrt(2)
-
-        def f(t):
-            return -x * x - mpmath.log(mp_re_w(x, mpmath.exp(t) / mpmath.sqrt(2)))
-
-        hi = x * x + mpmath.log(2 / mpmath.pi) / 2 + 1
-        lo = hi - 1
-        while f(lo) >= 0:
-            hi, lo = lo, lo - 1
-        t = mpmath.findroot(f, (lo, hi), solver="anderson", verify=False)
-        eps = mpmath.mpf(10) ** -30
-        assert f(t - eps) < 0 < f(t + eps)
-        return t
-
-
-def wofz_log_bf01(z, gamma):
-    z = np.asarray(z, dtype=float)
-    return -0.5 * z * z - np.log(wofz((np.abs(z) + 1j * np.asarray(gamma)) / math.sqrt(2.0)).real)
+from _reference import (mp_asymptotic_log_re_w, mp_cauchy_flip_scale, mp_log_bf01_cauchy,
+                        mp_log_re_w, mp_z_crit, quad_log_bf01, series_terms_needed,
+                        wofz_log_bf01)
 
 
 def voigt_log_bf01(z, gamma):
@@ -81,7 +33,7 @@ class TestAgainstMpmath:
     def test_grid(self):
         """|z| in [0, 40], gamma in [1e-9, 3e13]: every route of the
         kernel and the borders between them."""
-        worst = max(abs(voigt_log_bf01(z, g) - mp_log_bf01(z, g))
+        worst = max(abs(voigt_log_bf01(z, g) - mp_log_bf01_cauchy(z, g))
                     for z in self.Z for g in self.GAMMA)
         assert worst <= 1e-10
 
@@ -92,34 +44,17 @@ class TestAgainstMpmath:
         route, worth 6e-11 at z = 9.9, gamma = 1e-9."""
         for z in (4.0, 5.0, 6.0, 7.5, 9.0, 9.9, 10.0, 12.0, 40.0):
             for g in (1e-9, 1e-7, 1e-6, 1e-4, 1e-2):
-                assert voigt_log_bf01(z, g) == pytest.approx(mp_log_bf01(z, g), abs=1e-12)
+                assert voigt_log_bf01(z, g) == pytest.approx(mp_log_bf01_cauchy(z, g), abs=1e-12)
 
     def test_vanishing_y_on_the_asymptotic_route(self):
         """|zeta| >= 7 with y near and below the smallest normal float,
-        against the route's own model summed at 50 digits,
-        Re w = exp(y^2 - x^2) cos(2xy) + Re(i / (sqrt(pi) zeta) sum_k c_k zeta^-2k),
-        c_k = (2k-1)!! / 2^k, summed while the terms fall; then against
-        the true value from ``mp_re_w``."""
+        against the route's own model summed at 50 digits
+        (``mp_asymptotic_log_re_w``), then against the true value."""
         for x, y in ((7.5, 1e-300), (27.0, 1e-300), (27.0, 1e-310), (1e4, 1e-305)):
-            with mpmath.workdps(MP_DPS):
-                zeta = mpmath.mpc(x, y)
-                u, term, total, k = 1 / (zeta * zeta), mpmath.mpc(1), mpmath.mpc(1), 0
-                while True:
-                    k += 1
-                    nxt = term * (k - mpmath.mpf(0.5)) * u
-                    if abs(nxt) >= abs(term) or abs(nxt) < mpmath.mpf(10) ** -40:
-                        break
-                    term, total = nxt, total + nxt
-                series = mpmath.re(1j * total / zeta) / mpmath.sqrt(mpmath.pi)
-                mx, my = mpmath.mpf(x), mpmath.mpf(y)
-                want = mpmath.log(mpmath.exp(my * my - mx * mx) * mpmath.cos(2 * mx * my) + series)
-            assert log_re_faddeeva(x, y) == pytest.approx(float(want), abs=1e-12)
-        # and against the true value, from erfc with y/|zeta| more digits
-        # (log Re w(27, 1e-310) = -720.96303158831, at 362 digits)
+            assert log_re_faddeeva(x, y) == pytest.approx(mp_asymptotic_log_re_w(x, y), abs=1e-12)
+        # log Re w(27, 1e-310) = -720.96303158831, from erfc at 362 digits
         for x, y in ((27.0, 1e-310), (7.5, 1e-300), (1e4, 1e-305)):
-            with mpmath.workdps(MP_DPS):
-                want = mpmath.log(mp_re_w(mpmath.mpf(x), mpmath.mpf(y)))
-            assert log_re_faddeeva(x, y) == pytest.approx(float(want), abs=1e-12)
+            assert log_re_faddeeva(x, y) == pytest.approx(mp_log_re_w(x, y), abs=1e-12)
         # the least subnormal y: Re w ~ y / (sqrt(pi) x^2) is not a float
         assert math.isfinite(log_re_faddeeva(30.0, 5e-324))
 
@@ -165,9 +100,8 @@ class TestFlipScale:
 
     def test_against_mpmath_root(self):
         for z in self.Z:
-            log_gamma = mp_log_gamma_star(z)
             for n in self.N:
-                want = float(mpmath.exp(log_gamma - mpmath.log(n) / 2))
+                want = mp_cauchy_flip_scale(z, n)
                 assert cauchy_flip_scale(TestSetup(n=n, z=z)) == pytest.approx(want, rel=1e-10)
                 assert cauchy_flip_scale(TestSetup(n=n, z=-z)) == pytest.approx(want, rel=1e-10)
 
@@ -175,7 +109,8 @@ class TestFlipScale:
     def test_flips_the_old_scan_missed(self, z, n):
         r = cauchy_flip_scale(TestSetup(n=n, z=z))
         gamma = math.sqrt(n) * r
-        assert mp_log_bf01(z, gamma * (1 - 1e-9)) < 0.0 < mp_log_bf01(z, gamma * (1 + 1e-9))
+        assert (mp_log_bf01_cauchy(z, gamma * (1 - 1e-9)) < 0.0
+                < mp_log_bf01_cauchy(z, gamma * (1 + 1e-9)))
 
     @pytest.mark.parametrize("z", [1.0, 1.2, 1.30, -1.30, Z_CRIT])
     def test_no_flip_at_or_below_critical_z(self, z):
@@ -204,15 +139,12 @@ class TestFlipScale:
                     with pytest.raises(ConvergenceError, match="below 4e-05"):
                         cauchy_flip_scale(TestSetup(n=1, z=z))
                 else:
-                    want = float(mpmath.exp(mp_log_gamma_star(Z_CRIT + g)))
+                    want = mp_cauchy_flip_scale(Z_CRIT + g)
                     assert cauchy_flip_scale(TestSetup(n=1, z=z)) == pytest.approx(want, rel=3e-7), g
 
     def test_critical_z_is_where_the_slope_at_zero_changes_sign(self):
         """Z_CRIT = sqrt(2) x0 with 2 x0 F(x0) = 1, F Dawson's function."""
-        with mpmath.workdps(MP_DPS):
-            dawson = lambda x: mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-x * x) * mpmath.erfi(x)
-            x0 = mpmath.findroot(lambda x: 2 * x * dawson(x) - 1, 0.92)
-            assert Z_CRIT == pytest.approx(float(mpmath.sqrt(2) * x0), rel=1e-15)
+        assert Z_CRIT == pytest.approx(mp_z_crit(), rel=1e-15)
 
     def test_kernel_is_never_evaluated_twice_at_one_point(self, monkeypatch):
         """The solve is one find_root run on a bracket known before any
@@ -294,25 +226,11 @@ class TestHugeGamma:
     ])
     def test_against_mpmath(self, z, n, r):
         got = bf01_cauchy(TestSetup(n=n, z=z), CauchyPrior(r)).log_bf01
-        with mpmath.workdps(MP_DPS):
-            gamma = mpmath.sqrt(n) * mpmath.mpf(r)
-        assert got == pytest.approx(mp_log_bf01(z, gamma), rel=4e-16)
+        assert got == pytest.approx(mp_log_bf01_cauchy(z, r, n), rel=4e-16)
 
     def test_log_bf01_overflowing_a_float_is_a_domain_error(self):
         with pytest.raises(DomainError, match="BF01 overflows a float"):
             bf01_cauchy(TestSetup(n=50, z=0.5), CauchyPrior(1e308))
-
-
-def _series_terms_needed(r2):
-    """The least K with c_{K+1} / r2^(K+1) <= 1e-17, c_k = (2k-1)!! / 2^k,
-    at 50 digits: terms 0..K of the asymptotic series suffice."""
-    with mpmath.workdps(MP_DPS):
-        r2, c, k = mpmath.mpf(r2), mpmath.mpf(1), 0
-        while True:
-            c *= k + mpmath.mpf(0.5)  # c_{k+1}
-            if c / r2 ** (k + 1) <= mpmath.mpf("1e-17"):
-                return k
-            k += 1
 
 
 def _points_on_circle(r2, y_near):
@@ -352,8 +270,8 @@ class TestAsymptoticBorders:
         table = SERIES_R2
         assert table[-1] <= cauchy._ASYMPTOTIC_R2 < table[-2]
         for k, t in enumerate(table):
-            assert _series_terms_needed(t * (1 + 1e-14)) == k
-            assert _series_terms_needed(t * (1 - 1e-14)) == k + 1
+            assert series_terms_needed(t * (1 + 1e-14)) == k
+            assert series_terms_needed(t * (1 - 1e-14)) == k + 1
         assert len(cauchy._HORNER) == len(table)
         for k, coeffs in enumerate(cauchy._HORNER):
             c = [1.0]
@@ -367,7 +285,7 @@ class TestAsymptoticBorders:
 
     def test_bisected_term_count_is_the_least_that_suffices(self):
         for m in range(49, 2048):
-            assert self.bisected_terms(float(m)) == _series_terms_needed(m), m
+            assert self.bisected_terms(float(m)) == series_terms_needed(m), m
 
     def test_bisected_term_count_steps_at_each_threshold(self):
         """K drops by one exactly at each float threshold.  The float
@@ -383,9 +301,7 @@ class TestAsymptoticBorders:
         for r2_side in (math.nextafter(r2, 0.0), r2, math.nextafter(r2, math.inf)):
             y_near = (0.01, 0.5, 0.999, 1.0, 3.0, math.sqrt(r2) * 0.8, math.sqrt(r2) * 0.999)
             for x, y in _points_on_circle(r2_side, y_near):
-                with mpmath.workdps(MP_DPS):
-                    want = mpmath.log(mp_re_w(mpmath.mpf(x), mpmath.mpf(y)))
-                worst = max(worst, abs(log_re_faddeeva(x, y) - float(want)))
+                worst = max(worst, abs(log_re_faddeeva(x, y) - mp_log_re_w(x, y)))
         assert worst <= 1e-13
 
 
@@ -446,8 +362,6 @@ class TestTrapezoidalRoute:
     def test_dense_against_mpmath(self):
         pts = self.points()
         assert len(pts) >= 4000
-        with mpmath.workdps(40):
-            worst = max((abs(log_re_faddeeva(x, y)
-                             - float(mpmath.log(mp_re_w(mpmath.mpf(x), mpmath.mpf(y))))), x, y)
-                        for x, y in pts)
+        worst = max((abs(log_re_faddeeva(x, y) - mp_log_re_w(x, y, dps=40)), x, y)
+                    for x, y in pts)
         assert worst[0] <= 1e-14, worst
