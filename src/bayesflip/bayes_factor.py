@@ -168,8 +168,13 @@ def log_bf01(z: float, k: float) -> float:
 
 
 def bf01(setup: TestSetup, prior: NormalPrior) -> BayesFactorResult:
-    """Bayes factor in favour of the null for the given data and prior."""
-    return BayesFactorResult.from_log(log_bf01(setup.z, prior.k(setup)))
+    """Bayes factor in favour of the null for the given data and prior.
+    Raises DomainError, naming both records, for any other argument."""
+    try:
+        return BayesFactorResult.from_log(log_bf01(setup.z, prior.k(setup)))
+    except AttributeError:  # a CauchyPrior has no k
+        raise DomainError(f"bf01 takes a TestSetup and a NormalPrior, "
+                          f"got {setup!r}, {prior!r}") from None
 
 
 def dlogbf_dk(z: float, k: float) -> float:

@@ -202,9 +202,14 @@ def _log_bf01(z: float, n: int, r: float) -> float:
 def bf01_cauchy(setup: TestSetup, prior: CauchyPrior) -> BayesFactorResult:
     """Bayes factor in favour of the null under the Cauchy prior, from the
     closed-form Voigt marginal (``_log_bf01``).  Raises DomainError where
-    log BF01 (z^2/2 overflows) or BF01 is not a finite float.
+    log BF01 (z^2/2 overflows) or BF01 is not a finite float, and, naming
+    both records, for an argument that is not a TestSetup or a CauchyPrior.
     """
-    return BayesFactorResult.from_log(_log_bf01(setup.z, setup.n, prior.r))
+    try:
+        return BayesFactorResult.from_log(_log_bf01(setup.z, setup.n, prior.r))
+    except AttributeError:  # a NormalPrior has no r
+        raise DomainError(f"bf01_cauchy takes a TestSetup and a CauchyPrior, "
+                          f"got {setup!r}, {prior!r}") from None
 
 
 def cauchy_flip_scale(setup: TestSetup) -> float:

@@ -60,7 +60,8 @@ def _shown(x: float, d: int, ok, fmt=_scale_text) -> str:
 
 def _sided(x: float, d: int, *marks: float) -> str:
     """x at d decimals, widened until it prints on x's side of each mark:
-    a Bayes factor never prints across 1 or as 0, a posterior across 1/2."""
+    a Bayes factor never prints across 1 or as 0, a posterior across 1/2,
+    a z across -1 or 1."""
     return _shown(x, d, lambda v: all((v > m) - (v < m) == (x > m) - (x < m) for m in marks),
                   "{:.{}f}".format)
 
@@ -192,22 +193,16 @@ def _cmd_bf(args: argparse.Namespace) -> tuple:
         k = None
     post = res.posterior_h0()
     d = args.precision
-    # each number prints on the side of 1, 0 or 1/2 that the direction names;
-    # a neutral one prints at d decimals
-    live = res.direction is not Direction.NEUTRAL
-
-    def sided(x, *marks):
-        return _sided(x, d, *marks) if live else f"{x:.{d}f}"
     human = "\n".join([
-        f"z            {args.z:.{d}f}",
+        f"z            {_sided(args.z, d, -1.0, 1.0)}",
         f"n            {args.n}",
         f"prior        {args.prior}",
         f"scale        {_scale_text(args.scale, d)}",
         f"k            {'-' if k is None else _scale_text(k, d)}",
-        f"bf01         {sided(res.bf01, 0.0, 1.0)}",
-        f"log_bf01     {sided(res.log_bf01, 0.0)}",
+        f"bf01         {_sided(res.bf01, d, 0.0, 1.0)}",
+        f"log_bf01     {_sided(res.log_bf01, d, 0.0)}",
         f"direction    {_DIRECTION_TEXT[res.direction]}",
-        f"p_h0         {sided(post, 0.0, 0.5, 1.0)}   (posterior of H0 at pi0 = 1/2)",
+        f"p_h0         {_sided(post, d, 0.0, 0.5, 1.0)}   (posterior of H0 at pi0 = 1/2)",
     ])
     header = ("z", "n", "prior", "scale", "k", "bf01", "log_bf01",
               "direction", "posterior_prob_h0")
@@ -227,7 +222,7 @@ def _cmd_flip(args: argparse.Namespace) -> tuple:
     header = ("z", "method", "k_star", "residual", "tau_star")
     rows = [(r.z, r.method.value, r.k_star, r.residual, ts) for r, ts in zip(results, taus)]
     d = args.precision
-    lines = [f"z            {args.z:.{d}f}"]
+    lines = [f"z            {_sided(args.z, d, -1.0, 1.0)}"]
     for r, ts in zip(results, taus):
         tau_text = "" if ts is None else f"   tau*(n={n}) = {_scale_text(ts, d)}"
         lines.append(f"k* ({r.method.value:9s}) = {_scale_text(r.k_star, d)}   "
@@ -251,7 +246,8 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple:
     d = args.precision
     lines = [f"{'kind':8s} {'scale':>12s} {'bf01':>12s} direction"]
     lines.extend(
-        f"{r.kind:8s} {_scale_text(r.scale, d):>12s} {r.bf01:12.{d}f} {_DIRECTION_TEXT[r.direction]}"
+        f"{r.kind:8s} {_scale_text(r.scale, d):>12s} {_sided(r.bf01, d, 0.0, 1.0):>12s} "
+        f"{_DIRECTION_TEXT[r.direction]}"
         for r in rows
     )
 
@@ -300,7 +296,7 @@ def _cmd_figure1(args: argparse.Namespace) -> tuple:
         f"{', '.join(f'{t:g}' for t in report.FIGURE_B_MARKER_TAUS)})",
         "use --format csv|json (and --out) for the data",
         "flip points: " + ", ".join(
-            f"z={r.z:g}: k*={r.x:.{d}f}" for r in panel_a if r.kind == report.ROW_FLIP),
+            f"z={r.z:g}: k*={_scale_text(r.x, d)}" for r in panel_a if r.kind == report.ROW_FLIP),
     ])
 
     def _svg_a() -> str:
@@ -350,7 +346,7 @@ def _cmd_paradox(args: argparse.Namespace) -> tuple:
                   lambda t: bf01(setup, NormalPrior(t)).direction is Direction.FAVOURS_H0)
     tau_star = _shown(pair.tau_star, d, lambda t: float(tau1) < t < float(tau2))
     lines = [
-        f"z = {setup.z:.{d}f}, n = {setup.n}",
+        f"z = {_sided(setup.z, d, -1.0, 1.0)}, n = {setup.n}",
         f"flip point k* = {_scale_text(k_star, d)}; critical prior sd tau* = {tau_star}",
         f"analyst 1: tau = {tau1}  ->  BF01 = {_sided(pair.bf1, d, 0.0, 1.0)}  "
         f"(favours H1), P(H0 | data) = {_sided(post1, d, 0.0, 0.5, 1.0)}",

@@ -328,10 +328,10 @@ def test_human_output_prints_no_nonzero_scale_as_zero(argv, precision):
 # p_h0 0.5000 beside "favours H1"
 @example(z=2.0, n=50, prior="cauchy", scale=0.707, precision=4)
 def test_bf_human_text_prints_no_number_across_its_label(z, n, prior, scale, precision):
-    """Human bf text, parsed, against the same run's JSON: unless the
-    direction is neutral, bf01, log_bf01 and p_h0 print on the side of 1,
-    0 and 1/2 that it names, and at 0 (or p_h0 at 1) only where they are;
-    k prints as 0 nowhere it is positive."""
+    """Human bf text, parsed, against the same run's JSON: bf01, log_bf01
+    and p_h0 print on their own side of 1, 0 and 1/2, neutral ones too, and
+    at 0 (or p_h0 at 1) only where they are; k prints as 0 nowhere it is
+    positive."""
     argv = ["bf", "--z", repr(z), "--n", str(n), "--prior", prior, "--scale", repr(scale)]
     code, text = run_in_process(*argv, "--precision", str(precision))
     if code != 0:
@@ -342,12 +342,58 @@ def test_bf_human_text_prints_no_number_across_its_label(z, n, prior, scale, pre
     assert code == 0 and shown["direction"] == exact["direction"].split("_")[0]
     if prior == "normal" and exact["k"] > 0.0:
         assert float(shown["k"]) > 0.0, text
-    if exact["direction"] == "neutral":
-        return
     for name, key, marks in (("bf01", "bf01", (0.0, 1.0)), ("log_bf01", "log_bf01", (0.0,)),
                              ("p_h0", "posterior_prob_h0", (0.0, 0.5, 1.0))):
         v, x = float(shown[name]), exact[key]
         assert all((v > m) - (v < m) == (x > m) - (x < m) for m in marks), (name, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(z=Z, n=N, prior=st.sampled_from(["normal", "cauchy"]),
+       spacing=st.sampled_from(["linear", "log"]),
+       bounds=st.lists(SCALE, min_size=2, max_size=2, unique=True),
+       points=st.integers(2, 12), precision=st.integers(0, 8))
+# 1.00 beside "favours H1" on one row and beside "favours H0" on the next
+@example(z=2.0, n=50, prior="normal", spacing="linear", bounds=[0.99433, 0.99434],
+         points=2, precision=2)
+def test_sweep_human_text_prints_each_bf01_on_its_side(z, n, prior, spacing, bounds, points,
+                                                        precision):
+    """Human sweep text, parsed, against the same run's JSON: each point
+    row's BF01 prints below 1 beside "favours H1", above 1 beside "favours
+    H0", and on its own side of 1 and 0 whatever its direction."""
+    lo, hi = sorted(bounds)
+    argv = ["sweep", "--z", repr(z), "--n", str(n), "--prior", prior, "--spacing", spacing,
+            "--scale-min", repr(lo), "--scale-max", repr(hi), "--points", str(points)]
+    code, text = run_in_process(*argv, "--precision", str(precision))
+    if code != 0:
+        return
+    rows = [line.split(maxsplit=3) for line in text.splitlines()[1:]]
+    code, out = run_in_process(*argv, "--format", "json")
+    exact = [r for r in json.loads(out) if r["kind"] == "point"]
+    assert code == 0 and [r[0] for r in rows[:points]] == ["point"] * points == [
+        r["kind"] for r in exact]
+    for (_, _, shown, label), row in zip(rows, exact):
+        v, x = float(shown), row["bf01"]
+        assert {"favours H1": v < 1.0, "favours H0": v > 1.0, "neutral": True}[label], text
+        assert all((v > m) - (v < m) == (x > m) - (x < m) for m in (0.0, 1.0)), text
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=cli_runs(z=Z | st.floats(0.999, 1.001) | st.floats(-1.001, -0.999)).filter(
+           lambda argv: argv[0] != "sweep"),
+       precision=st.integers(0, 8))
+# z 1.0000 above a flip point that exists only for |z| > 1
+@example(argv=["flip", "--z", "1.00001"], precision=4)
+@example(argv=["paradox", "--z", "-1.00001", "--n", "50"], precision=4)
+@example(argv=["bf", "--z", "0.99999", "--n", "50", "--scale", "1"], precision=2)
+def test_human_text_prints_z_on_its_side_of_one(argv, precision):
+    """The z that human bf, flip and paradox print lies on the given z's
+    side of -1 and of 1: a flip point exists exactly for |z| > 1."""
+    code, text = run_in_process(*argv, "--precision", str(precision))
+    if code != 0:
+        return
+    v, z = float(re.search(r"^z(?: = | +)([^\s,]+)", text, re.MULTILINE)[1]), float(argv[2])
+    assert all((v > m) - (v < m) == (z > m) - (z < m) for m in (-1.0, 1.0)), text
 
 
 class TestSweepCommand:

@@ -100,6 +100,11 @@ CASES = {
     "flip-huge-n-human": ["flip", "--z", "2", "--n", "1000000000"],
     "sweep-small-scales-human": ["sweep", "--z", "2", "--n", "1000000000", "--scale-min",
                                  "1e-5", "--scale-max", "1e-3", "--points", "3"],
+    # each number on its own side: these printed BF01 = 1.00 beside both labels,
+    # and z = 1.0000 above a flip point that exists only for |z| > 1
+    "sweep-bf01-sides-human": ["sweep", "--z", "2", "--n", "50", "--scale-min", "0.99433",
+                               "--scale-max", "0.99434", "--points", "2", "--precision", "2"],
+    "flip-z-above-one-human": ["flip", "--z", "1.00001"],
     "error-paradox-no-flip": ["paradox", "--z", "0.9", "--n", "50"],
     "error-flip-overflow": ["flip", "--z", "30"],
     "error-usage-scale": [*BF, "--scale", "0"],

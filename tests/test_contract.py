@@ -48,6 +48,8 @@ SCALES = st.lists(FLOATS, max_size=4)
 SETUPS = st.builds(TestSetup, st.integers(1, int(DBL_MAX)), FLOATS)
 NORMAL_PRIORS = st.builds(bayesflip.NormalPrior, st.floats(0.0, DBL_MAX, exclude_min=True))
 CAUCHY_PRIORS = st.builds(bayesflip.CauchyPrior, st.floats(0.0, DBL_MAX, exclude_min=True))
+# bf01 and bf01_cauchy take either record: the other family's used to raise AttributeError
+PRIORS = NORMAL_PRIORS | CAUCHY_PRIORS
 RESULTS = st.builds(bayesflip.BayesFactorResult.from_log, st.floats(-DBL_MAX, math.log(DBL_MAX)))
 
 
@@ -129,7 +131,8 @@ test_normal_prior_k = _contract("NormalPrior.k", st.tuples(NORMAL_PRIORS, SETUPS
                                 (bayesflip.NormalPrior(1e200), TestSetup(1, 1.0)))
 test_from_log = _contract("BayesFactorResult.from_log", st.tuples(FLOATS))
 test_posterior_h0 = _contract("BayesFactorResult.posterior_h0", st.tuples(RESULTS, FLOATS))
-test_bf01 = _contract("bf01", st.tuples(SETUPS, NORMAL_PRIORS))
+test_bf01 = _contract("bf01", st.tuples(SETUPS, PRIORS),
+                      (TestSetup(1, 2.0), bayesflip.CauchyPrior(0.707)))
 test_bf_argmin_k = _contract("bf_argmin_k", st.tuples(FLOATS))
 test_dlogbf_dk = _contract("dlogbf_dk", st.tuples(FLOATS, FLOATS))
 test_log_bf01 = _contract("log_bf01", st.tuples(FLOATS, FLOATS))
@@ -140,7 +143,8 @@ test_two_sided_p = _contract("two_sided_p", st.tuples(FLOATS))
 # Voigt kernel's real-axis term, and cos(inf) raised ValueError
 test_cauchy_prior = _contract("CauchyPrior", st.tuples(FLOATS))
 test_bf01_cauchy = _contract(
-    "bf01_cauchy", st.tuples(SETUPS, CAUCHY_PRIORS),
+    "bf01_cauchy", st.tuples(SETUPS, PRIORS),
+    (TestSetup(1, 2.0), bayesflip.NormalPrior(0.8)),
     (TestSetup(1, 1.3e308), bayesflip.CauchyPrior(1.0)),
     (TestSetup(1, -DBL_MAX), bayesflip.CauchyPrior(1.0)))
 test_cauchy_flip_scale = _contract("cauchy_flip_scale", st.tuples(SETUPS))
